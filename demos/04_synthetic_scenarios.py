@@ -27,8 +27,8 @@ sc = make_scenario("label-shift", source_label_marginal=(0.5, 0.5),
                    target_label_marginal=(0.8, 0.2), seed=1)
 s = discretize(sc, "source", grid=32)
 t = discretize(sc, "target", grid=32)
-worst = max(js_divergence(conditionals(s, "x|y")[y], conditionals(t, "x|y")[y])
-            for y in (0, 1))
+s_cond, t_cond = conditionals(s, "x|y"), conditionals(t, "x|y")
+worst = max(js_divergence(s_cond[y], t_cond[y]) for y in (0, 1))
 _, s_y = marginals(s)
 _, t_y = marginals(t)
 print(f"max per-class conditional JS on the grid: {worst:.2e} (exactly matched)")
@@ -39,8 +39,8 @@ banner("Cofeature shift: label-given-feature fixed, feature marginal moved")
 sc2 = make_scenario("cofeature", feature_shift=(1.5, 0.5), seed=1)
 s2 = discretize(sc2, "source", grid=32)
 t2 = discretize(sc2, "target", grid=32)
-worst2 = max(js_divergence(conditionals(s2, "y|x")[x], conditionals(t2, "y|x")[x])
-             for x in s2.x_atoms)
+s2_cond, t2_cond = conditionals(s2, "y|x"), conditionals(t2, "y|x")
+worst2 = max(js_divergence(s2_cond[x], t2_cond[x]) for x in s2.x_atoms)
 s2_x, _ = marginals(s2)
 t2_x, _ = marginals(t2)
 print(f"max per-cell label-conditional JS: {worst2:.2e}")

@@ -11,7 +11,8 @@ A caution on the intrinsic-error transfer bound: the inequality as
 implemented is not universally valid. Near deterministic conditionals the
 entropy gap can exceed sqrt(delta2/2) (e.g. S(y|x)=(1,0) vs T(y|x)=(0.9,0.1)
 with equal X-marginals violates it by ~0.19 nats). The verifier reports such
-instances honestly as ``holds=False``.
+instances honestly as ``holds=False``, as it does for the decomposed upper
+bound, which keeps the joint upper bound's too-tight G/sqrt(2) constant.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .divergence import js_divergence
-from .pmf import JointPmf, LossTable, Pmf, conditionals, entropy_stats, expected_risk, marginals
+from .divergence import _conditional_js, js_divergence
+from .pmf import JointPmf, LossTable, Pmf, entropy_stats, expected_risk, marginals
 
 VERDICT_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-9
@@ -161,11 +162,7 @@ def _conditional_shift_terms(s: JointPmf, t: JointPmf,
     if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
         raise BoundInputError("decomposition requires identical supports")
     cond_axis = "y|x" if axis == "x" else "x|y"
-    s_marg = s.mass.sum(axis=1) if axis == "x" else s.mass.sum(axis=0)
-    t_marg = t.mass.sum(axis=1) if axis == "x" else t.mass.sum(axis=0)
-    atoms = s.x_atoms if axis == "x" else s.y_atoms
-    s_cond = conditionals(s, cond_axis)
-    t_cond = conditionals(t, cond_axis)
+    atoms, s_marg, t_marg, cond_js = _conditional_js(s, t, cond_axis)
     marg_js = js_divergence(Pmf(atoms, s_marg / s_marg.sum()),
                             Pmf(atoms, t_marg / t_marg.sum()), "e")
     cond_sum = 0.0
@@ -174,9 +171,9 @@ def _conditional_shift_terms(s: JointPmf, t: JointPmf,
         for atom, w in zip(atoms, weights.tolist()):
             if w <= 0.0:
                 continue
-            if atom not in s_cond or atom not in t_cond:
+            if atom not in cond_js:
                 raise BoundInputError(f"missing conditional at atom {atom!r}")
-            terms.append(w * js_divergence(t_cond[atom], s_cond[atom], "e"))
+            terms.append(w * cond_js[atom])
         cond_sum += math.fsum(terms)
     return marg_js, cond_sum
 
@@ -190,6 +187,8 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     axis="y" into label-marginal shift and per-class feature-conditional
     shift. ``extras`` records the chain-rule check
     marginal + conditional >= joint JS, which the decomposition rests on.
+    Caution: the chain rule holds, but the bounded gap keeps joint-upper's
+    G/sqrt(2) constant, so the bound fails wherever that constant is too tight.
     """
     if tail is None:
         tail = TailParams("bounded", g=l.range_g)
@@ -227,17 +226,14 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     """
     if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
         raise BoundInputError("intrinsic-error bound requires identical supports")
-    s_x = s.mass.sum(axis=1)
-    t_x = t.mass.sum(axis=1)
-    s_cond = conditionals(s, "y|x")
-    t_cond = conditionals(t, "y|x")
+    _, s_x, t_x, cond_js = _conditional_js(s, t, "y|x")
     delta2 = 0.0
     for atom, sw, tw in zip(s.x_atoms, s_x.tolist(), t_x.tolist()):
         if sw <= 0.0 and tw <= 0.0:
             continue
-        if atom not in s_cond or atom not in t_cond:
+        if atom not in cond_js:
             raise BoundInputError(f"missing conditional at atom {atom!r}")
-        delta2 = max(delta2, js_divergence(s_cond[atom], t_cond[atom], "e"))
+        delta2 = max(delta2, cond_js[atom])
     delta1 = js_divergence(Pmf(s.x_atoms, s_x / s_x.sum()),
                            Pmf(t.x_atoms, t_x / t_x.sum()), "e")
     _, eps = entropy_stats(s, "e")
@@ -312,12 +308,11 @@ def matched_conditional_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundRep
         raise BoundInputError("matched-conditional band requires zero-one loss")
     if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
         raise BoundInputError("matched-conditional band requires identical supports")
-    s_cond = conditionals(s, "x|y")
-    t_cond = conditionals(t, "x|y")
+    *_, cond_js = _conditional_js(s, t, "x|y")
     for y in s.y_atoms:
-        if y not in s_cond or y not in t_cond:
+        if y not in cond_js:
             raise BoundInputError(f"missing class conditional for label {y!r}")
-        gap = js_divergence(s_cond[y], t_cond[y], "e")
+        gap = cond_js[y]
         if gap > HYPOTHESIS_TOL:
             raise BoundInputError(
                 f"matched-conditional hypothesis violated at label {y!r}: JS={gap:.3g}")

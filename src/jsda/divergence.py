@@ -14,18 +14,23 @@ inequality uses, while :func:`half_total_variation` is the halved metric
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Literal
 
 import numpy as np
 
 from .pmf import (
+    Axis,
     DistributionError,
     JointPmf,
     LogBase,
     Pmf,
     _log_with_base,
     align_supports,
+    conditional_rows,
 )
 
 DivergenceKind = Literal["KL", "JS", "TV", "Renyi2"]
@@ -54,6 +59,9 @@ def _paired_probs(p: Pmf | JointPmf, q: Pmf | JointPmf) -> tuple[np.ndarray, np.
             raise DistributionError("joint divergence requires identical supports")
         return p.mass.ravel(), q.mass.ravel()
     if isinstance(p, Pmf) and isinstance(q, Pmf):
+        # coordinates on both sides still need align_supports' conflict check
+        if p.atoms == q.atoms and None in (p.coords, q.coords):
+            return p.probs, q.probs
         pa, qa = align_supports(p, q)
         return pa.probs, qa.probs
     raise DistributionError("divergence requires two Pmfs or two JointPmfs")
@@ -133,6 +141,20 @@ def half_total_variation(p, q) -> float:
     return 0.5 * total_variation(p, q)
 
 
+def _conditional_js(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
+    """(atoms, s weights, t weights, {atom: JS}) of two same-support joints.
+
+    The JS (nats) between the two conditionals at each atom where both exist
+    equals ``js_divergence`` of the ``conditionals`` Pmfs bit for bit.
+    """
+    atoms, s_w, s_rows = conditional_rows(s, axis)
+    _, t_w, t_rows = conditional_rows(t, axis)
+    js = {a: DivergenceValue("JS", _js(p, q, math.log), "e").value
+          for a, sw, tw, p, q in zip(atoms, s_w, t_w, s_rows, t_rows)
+          if sw > 0 and tw > 0}
+    return atoms, s_w, t_w, js
+
+
 def js_distance(p, q, base: LogBase = "e") -> float:
     """sqrt(JS); a valid statistical metric (triangle inequality holds)."""
     return math.sqrt(js_divergence(p, q, base))
@@ -162,13 +184,16 @@ def h_divergence_1d(p: Pmf, q: Pmf) -> float:
     thresholds = [coords[0] - 1.0]
     thresholds += [0.5 * (a + b) for a, b in zip(coords, coords[1:])]
     thresholds += [coords[-1] + 1.0]
+    # float() of an exact Fraction sum is correctly rounded, as math.fsum is
+    p_cum = [0.0, *map(float, accumulate(Fraction(pp.get(c, 0.0)) for c in coords))]
+    q_cum = [0.0, *map(float, accumulate(Fraction(qq.get(c, 0.0)) for c in coords))]
 
     best = 0.5
     for t in thresholds:
-        p_below = math.fsum(m for c, m in pp.items() if c < t)
-        q_below = math.fsum(m for c, m in qq.items() if c < t)
+        # bisect keeps c < t where a midpoint of adjacent floats rounds onto c
+        k = bisect_left(coords, t)
         # labeling A: h_t says "first distribution" below t
-        err_a = 0.5 * (1.0 - p_below) + 0.5 * q_below
+        err_a = 0.5 * (1.0 - p_cum[k]) + 0.5 * q_cum[k]
         best = min(best, err_a, 1.0 - err_a)
     return 1.0 - 2.0 * best
 

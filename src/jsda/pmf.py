@@ -43,6 +43,12 @@ def _log_with_base(base: LogBase | float) -> float:
     raise DistributionError(f"unsupported log base {base!r}; use 'e' or '2'")
 
 
+def _check_total(values: np.ndarray, what: str = "probabilities sum") -> None:
+    total = math.fsum(values.ravel().tolist())
+    if abs(total - 1.0) > VALIDITY_TOL:
+        raise DistributionError(f"{what} to {total!r}, not 1")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -71,9 +77,7 @@ class Pmf:
             raise DistributionError("support atoms must be unique")
         if np.any(self.probs < 0):
             raise DistributionError("negative probability mass")
-        total = math.fsum(self.probs.tolist())
-        if abs(total - 1.0) > VALIDITY_TOL:
-            raise DistributionError(f"probabilities sum to {total!r}, not 1")
+        _check_total(self.probs)
         if self.coords is not None:
             coords = tuple(float(c) for c in self.coords)
             if len(coords) != len(self.atoms):
@@ -97,13 +101,6 @@ class Pmf:
             raise DistributionError("empty support")
         return Pmf(tuple(atoms), np.full(n, 1.0 / n),
                    None if coords is None else tuple(coords))
-
-    @staticmethod
-    def from_mapping(mass: Mapping, coords: Mapping | None = None) -> "Pmf":
-        atoms = tuple(mass.keys())
-        probs = np.array([mass[a] for a in atoms], dtype=float)
-        c = None if coords is None else tuple(float(coords[a]) for a in atoms)
-        return Pmf(atoms, probs, c)
 
     def to_json_dict(self) -> dict:
         d: dict = {"support": list(self.atoms), "probs": self.probs.tolist()}
@@ -134,9 +131,7 @@ class JointPmf:
             raise DistributionError("support atoms must be unique")
         if np.any(self.mass < 0):
             raise DistributionError("negative joint mass")
-        total = math.fsum(self.mass.ravel().tolist())
-        if abs(total - 1.0) > VALIDITY_TOL:
-            raise DistributionError(f"joint mass sums to {total!r}, not 1")
+        _check_total(self.mass, "joint mass sums")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -202,6 +197,25 @@ def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
             Pmf(j.y_atoms, py / math.fsum(py.tolist())))
 
 
+def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(conditioning atoms, their marginal weights, weight-normalised rows).
+
+    Row k is the probs of ``conditionals(j, axis)[atoms[k]]`` and gets the
+    same validity check; zero-weight rows stay zero and yield no conditional.
+    """
+    if axis == "y|x":
+        weights, rows, atoms = j.mass.sum(axis=1), j.mass, j.x_atoms
+    elif axis == "x|y":
+        weights, rows, atoms = j.mass.sum(axis=0), j.mass.T, j.y_atoms
+    else:
+        raise DistributionError(f"unknown conditioning axis {axis!r}")
+    live = weights > 0
+    normed = rows / np.where(live, weights, 1.0)[:, None]
+    for row in normed[live]:
+        _check_total(row)
+    return atoms, weights, normed
+
+
 def conditionals(j: JointPmf, axis: Axis) -> dict:
     """Family of conditional Pmfs indexed by the conditioning atom.
 
@@ -210,20 +224,9 @@ def conditionals(j: JointPmf, axis: Axis) -> dict:
     atoms yield no conditional. The reconstruction identity
     joint = conditional x marginal holds within 1e-12 by construction.
     """
-    if axis == "y|x":
-        weights = j.mass.sum(axis=1)
-        rows = j.mass
-        atoms, support = j.x_atoms, j.y_atoms
-    elif axis == "x|y":
-        weights = j.mass.sum(axis=0)
-        rows = j.mass.T
-        atoms, support = j.y_atoms, j.x_atoms
-    else:
-        raise DistributionError(f"unknown conditioning axis {axis!r}")
-    family = {}
-    for atom, w, row in zip(atoms, weights, rows):
-        if w > 0:
-            family[atom] = Pmf(support, row / w)
+    atoms, weights, rows = conditional_rows(j, axis)
+    support = j.y_atoms if axis == "y|x" else j.x_atoms
+    family = {a: Pmf(support, row) for a, w, row in zip(atoms, weights, rows) if w > 0}
     if not family:
         raise DistributionError("empty conditional family")
     return family
@@ -251,15 +254,9 @@ def entropy_stats(j: JointPmf, base: LogBase = "e") -> tuple[float, float]:
     entropies; the chain H(Y|X) <= H(Y) <= log|Y| always holds.
     """
     _, py = marginals(j)
-    h_y = entropy(py, base)
-    weights = j.mass.sum(axis=1)
-    terms = []
-    for w, row in zip(weights, j.mass):
-        if w > 0:
-            terms.append(w * math.fsum(-v / w * math.log(v / w)
-                                       for v in row.tolist() if v > 0.0))
-    h_y_given_x = math.fsum(terms) / _log_with_base(base)
-    return h_y, h_y_given_x
+    _, weights, rows = conditional_rows(j, "y|x")
+    terms = [w * entropy(row) for w, row in zip(weights, rows) if w > 0]
+    return entropy(py, base), math.fsum(terms) / _log_with_base(base)
 
 
 def mixture(p: Pmf | JointPmf, q: Pmf | JointPmf, weight: float = 0.5):
@@ -290,15 +287,13 @@ def align_supports(p: Pmf, q: Pmf) -> tuple[Pmf, Pmf]:
     survive when available; conflicting coordinates on a shared atom are an
     error.
     """
-    extra = [a for a in q.atoms if a not in set(p.atoms)]
-    atoms = p.atoms + tuple(extra)
-    index_q = {a: i for i, a in enumerate(q.atoms)}
+    p_set = set(p.atoms)
+    atoms = p.atoms + tuple(a for a in q.atoms if a not in p_set)
+    index = {a: i for i, a in enumerate(atoms)}
     pp = np.zeros(len(atoms))
     qq = np.zeros(len(atoms))
     pp[: len(p.atoms)] = p.probs
-    for i, a in enumerate(atoms):
-        if a in index_q:
-            qq[i] = q.probs[index_q[a]]
+    qq[[index[a] for a in q.atoms]] = q.probs
     coords = None
     if p.coords is not None and q.coords is not None:
         cp = dict(zip(p.atoms, p.coords))

@@ -13,7 +13,7 @@ BoundReports too, so a single violation scan covers everything.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -233,12 +233,6 @@ def run_suite(name: str, trials: int, seed: int) -> list[BoundReport]:
     for _ in range(trials):
         reports.extend(gen(rng))
     return reports
-
-
-def run_suites(names: Iterable[str] | None, trials: int,
-               seed: int) -> dict[str, list[BoundReport]]:
-    chosen: Sequence[str] = SUITE_NAMES if names is None else tuple(names)
-    return {name: run_suite(name, trials, seed) for name in chosen}
 
 
 def violations(reports: Iterable[BoundReport]) -> list[BoundReport]:

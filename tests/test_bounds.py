@@ -193,6 +193,23 @@ class TestDecomposition:
         r = decomposed_upper_bound(s, t, uniform_loss((nz, ny), rng), axis="y")
         assert r.extras["conditional_js_nats"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_inherited_constant_fails_on_pinned_instance(self):
+        # trial 871 of run_suite("decomposition-y", 1000, 1001): the split
+        # keeps joint-upper's G/sqrt2 constant and fails along with it
+        s = JointPmf((0, 1), (0, 1), np.array([
+            [0.2630774136741011, 0.2453175815332653],
+            [0.19509810890265009, 0.2965068958899835]]))
+        t = JointPmf((0, 1), (0, 1), np.array([
+            [0.1124247643671909, 0.3899383089892718],
+            [0.3185542853399931, 0.17908264130354423]]))
+        l = LossTable(np.array([[0.07260047982048813, 1.1854824013931762],
+                                [1.2234057307112343, 0.16636973497668583]]))
+        r = decomposed_upper_bound(s, t, l, axis="y")
+        assert r.slack_hi == pytest.approx(-0.0509, abs=1e-4)
+        assert not r.holds
+        assert r.extras["decomposition_holds"] == 1.0
+        assert not joint_upper_bound(s, t, l).holds
+
     def test_chain_rule_and_dominance_suite(self):
         for axis in ("x", "y"):
             reports = run_suite(f"decomposition-{axis}", 300, seed=9)

@@ -7,7 +7,9 @@ import pytest
 
 from jsda import (
     DistributionError,
+    JointPmf,
     Pmf,
+    conditionals,
     divergence,
     h_divergence_1d,
     half_total_variation,
@@ -18,12 +20,56 @@ from jsda import (
     pushforward,
     total_variation,
 )
+from jsda.divergence import _conditional_js
 
 
 def random_pmf(rng, n=None):
     n = n or int(rng.integers(2, 9))
     probs = rng.uniform(1e-6, 1.0, n)
     return Pmf(tuple(range(n)), probs / math.fsum(probs.tolist()))
+
+
+def h_divergence_rescan(p, q):
+    """Reference: fsum every atom below every threshold (O(n^2))."""
+    def as_points(d):
+        pts = {}
+        for c, m in zip(d.coords, d.probs.tolist()):
+            pts[c] = pts.get(c, 0.0) + m
+        return pts
+
+    pp, qq = as_points(p), as_points(q)
+    coords = sorted(set(pp) | set(qq))
+    thresholds = [coords[0] - 1.0]
+    thresholds += [0.5 * (a + b) for a, b in zip(coords, coords[1:])]
+    thresholds += [coords[-1] + 1.0]
+    best = 0.5
+    for t in thresholds:
+        p_below = math.fsum(m for c, m in pp.items() if c < t)
+        q_below = math.fsum(m for c, m in qq.items() if c < t)
+        err_a = 0.5 * (1.0 - p_below) + 0.5 * q_below
+        best = min(best, err_a, 1.0 - err_a)
+    return 1.0 - 2.0 * best
+
+
+def random_points(rng, pool):
+    """A Pmf on coordinates drawn from pool (ties likely), some masses zero."""
+    n = int(rng.integers(1, 25))
+    probs = rng.random(n) * (rng.random(n) < 0.7)
+    probs[int(rng.integers(n))] += 0.1
+    return Pmf(tuple(range(n)), probs / math.fsum(probs.tolist()),
+               coords=tuple(rng.choice(pool, n).tolist()))
+
+
+def random_sparse_joint(rng, nx, ny):
+    """A joint whose grid often has zero cells, an all-zero row and column."""
+    mass = rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.8)
+    if rng.random() < 0.5:
+        mass[int(rng.integers(nx)), :] = 0.0
+    if rng.random() < 0.5:
+        mass[:, int(rng.integers(ny))] = 0.0
+    mass[int(rng.integers(nx)), int(rng.integers(ny))] += 0.1
+    return JointPmf(tuple(range(nx)), tuple(range(ny)),
+                    mass / math.fsum(mass.ravel().tolist()))
 
 
 class TestDivergenceValues:
@@ -111,6 +157,49 @@ class TestThresholdDivergence:
         p = Pmf(("a", "b", "c"), np.array([0.2, 0.3, 0.5]), coords=(0.0, 0.0, 1.0))
         q = Pmf(("d", "e"), np.array([0.5, 0.5]), coords=(0.0, 1.0))
         assert h_divergence_1d(p, q) == pytest.approx(0.0, abs=1e-12)
+
+    def test_sorted_sweep_equals_rescan(self):
+        coords = (1.0, 2.0, 3.0)
+        s = Pmf(coords, np.full(3, 1.0 / 3.0), coords=coords)
+        t = Pmf(coords, np.array([0.25, 0.5, 0.25]), coords=coords)
+        assert h_divergence_1d(t, s) == h_divergence_rescan(t, s)
+        assert h_divergence_1d(t, s) == pytest.approx(1.0 / 12.0, abs=1e-12)
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            base = float(rng.choice([0.0, 1.0, 0.1, 1e16]))
+            # integer offsets tie; at adjacent floats the midpoint rounds onto an atom
+            up = np.nextafter(base, np.inf)
+            pool = np.concatenate([base + rng.integers(-4, 5, 8), [up, np.nextafter(up, np.inf)],
+                                   rng.normal(base, 1.0, 6)])
+            p, q = random_points(rng, pool), random_points(rng, pool)
+            assert h_divergence_1d(p, q) == h_divergence_rescan(p, q)
+            assert h_divergence_1d(q, p) == h_divergence_rescan(q, p)
+
+
+class TestConditionalFamily:
+    def test_equals_per_atom_js(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            s, t = random_sparse_joint(rng, nx, ny), random_sparse_joint(rng, nx, ny)
+            for axis in ("y|x", "x|y"):
+                atoms, s_w, t_w, family = _conditional_js(s, t, axis)
+                s_cond, t_cond = conditionals(s, axis), conditionals(t, axis)
+                dim = 1 if axis == "y|x" else 0
+                assert atoms == (s.x_atoms if dim else s.y_atoms)
+                assert np.array_equal(s_w, s.mass.sum(axis=dim))
+                assert np.array_equal(t_w, t.mass.sum(axis=dim))
+                assert set(family) == set(s_cond) & set(t_cond)
+                for a, value in family.items():
+                    assert value == js_divergence(s_cond[a], t_cond[a])
+
+    def test_same_support_fast_path_keeps_coordinate_check(self):
+        p = Pmf((0, 1), np.array([0.5, 0.5]), coords=(0.0, 1.0))
+        q = Pmf((0, 1), np.array([0.25, 0.75]), coords=(0.0, 2.0))
+        with pytest.raises(DistributionError, match="incompatible atom coordinates"):
+            js_divergence(p, q)
+        bare = Pmf((0, 1), q.probs)
+        assert js_divergence(p, bare) == js_divergence(p, Pmf((1, 0), q.probs[::-1]))
 
 
 class TestPushforward:
