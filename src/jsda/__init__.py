@@ -71,11 +71,11 @@ from .training import (
     TrainConfig,
     TrainTrace,
     ablate,
-    composite_loss,
     feature_shift_statistics,
     grad_check,
     init_models,
     lambda_schedule,
+    loss_and_gradients,
     pseudo_label_step,
     run_training,
     train_step,

@@ -196,14 +196,7 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
     joint_js = js_divergence(s, t, "e")
-    if tail.variant == "bounded":
-        gap = tail.g / math.sqrt(2.0) * (math.sqrt(marg_js) + math.sqrt(cond_js))
-    elif tail.variant == "subgaussian":
-        gap = tail.sigma * math.sqrt(2.0) * (math.sqrt(marg_js) + math.sqrt(cond_js))
-    else:
-        gap = ((tail.sigma + 1.0) * math.sqrt(2.0)
-               * (math.sqrt(marg_js) + math.sqrt(cond_js))
-               + 2.0 * tail.a * (marg_js + cond_js))
+    gap = _gap_term(tail, marg_js) + _gap_term(tail, cond_js)
     decomposition_slack = marg_js + cond_js - joint_js
     return BoundReport(
         name=f"decomposed_upper_{axis}", lhs=r_t, bound_hi=r_s + gap,

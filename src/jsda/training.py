@@ -12,6 +12,10 @@ objective combines
       which the discriminator ascends while the feature extractor descends
       (gradient reversal realized as an explicit sign choice at update time).
 
+One forward and one backward pass per step give the gradient of the
+weighted objective; the gradient audit checks each term alone by switching
+the other terms' weights off.
+
 Training alternates epochs of gradient steps with a pseudo-label refresh
 that re-estimates target labels, their distribution, and the black-box shift
 weights from a held-out source confusion matrix. The adversarial weight
@@ -206,10 +210,6 @@ def _softplus(u: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, u)
 
 
-def _zero_grads(m: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in m.param_items()}
-
-
 def _effective_centroid(stored: np.ndarray, count: int, batch_mean: np.ndarray | None,
                         rho: float) -> tuple[np.ndarray | None, float]:
     """(centroid used in the loss, gradient coefficient on the batch mean)."""
@@ -222,11 +222,17 @@ def _effective_centroid(stored: np.ndarray, count: int, batch_mean: np.ndarray |
     return None, 0.0
 
 
-def loss_terms_and_gradients(
+def loss_and_gradients(
     m: ModelParams, src: SampleBatch, tgt: SampleBatch, st: CentroidState,
-    w: WeightVector, rho: float, class_weights: np.ndarray | None = None,
-) -> tuple[dict[str, float], dict[str, dict[str, np.ndarray]], CentroidState]:
-    """All three loss terms, their separate gradients, and the updated centroids.
+    w: WeightVector, lam0: float, lam1: float, rho: float = 0.5,
+    class_weights: np.ndarray | None = None, lam_source: float = 1.0,
+) -> tuple[dict[str, float], dict[str, np.ndarray], CentroidState]:
+    """Loss breakdown, gradient of lam_source*I + lam1*II + lam0*III, centroids.
+
+    The breakdown holds each unweighted term and their weighted ``total``.
+    Each term adds its weighted feature gradient into one array, which one
+    backward pass carries to every parameter; backprop is linear in it, so
+    one-hot weights give the gradient of a single term.
 
     Term II is evaluated at the would-be-updated centroids (momentum blend of
     the stored value and the batch mean), so its gradient flows through the
@@ -235,8 +241,11 @@ def loss_terms_and_gradients(
     """
     n_classes = m.n_classes
     ns, nt = len(src), len(tgt)
-    z_s, a_s = features(m, src.xs)
-    z_t, a_t = features(m, tgt.xs)
+    xs = np.concatenate((src.xs, tgt.xs))
+    z, a = features(m, xs)
+    z_s, z_t = z[:ns], z[ns:]
+    dz = np.zeros_like(z)
+    dz_s, dz_t = dz[:ns], dz[ns:]
 
     if class_weights is None:
         s_hat = np.bincount(src.ys, minlength=n_classes) / ns
@@ -250,18 +259,12 @@ def loss_terms_and_gradients(
     t1 = float(-np.mean(alpha * log_p[np.arange(ns), src.ys]))
     dlogits = _softmax(logits)
     dlogits[np.arange(ns), src.ys] -= 1.0
-    dlogits *= (alpha / ns)[:, None]
-    g1 = _zero_grads(m)
-    g1["wh"] = dlogits.T @ z_s
-    g1["bh"] = dlogits.sum(axis=0)
-    dz_s_1 = dlogits @ m.wh
+    dlogits *= (lam_source * alpha / ns)[:, None]
+    dz_s += dlogits @ m.wh
 
     # term II: weighted squared centroid distances
-    g2 = _zero_grads(m)
     new_st = st.copy()
     t2 = 0.0
-    dz_s_2 = np.zeros_like(z_s)
-    dz_t_2 = np.zeros_like(z_t)
     for y in range(n_classes):
         idx_s = np.flatnonzero(src.ys == y)
         idx_t = np.flatnonzero(tgt.ys == y)
@@ -279,51 +282,28 @@ def loss_terms_and_gradients(
             continue
         diff = mu_s - mu_t
         t2 += class_weights[y] * float(diff @ diff)
+        scale = 2.0 * lam1 * class_weights[y]
         if idx_s.size:
-            dz_s_2[idx_s] += 2.0 * class_weights[y] * coef_s / idx_s.size * diff
+            dz_s[idx_s] += scale * coef_s / idx_s.size * diff
         if idx_t.size:
-            dz_t_2[idx_t] += -2.0 * class_weights[y] * coef_t / idx_t.size * diff
+            dz_t[idx_t] -= scale * coef_t / idx_t.size * diff
 
     # term III: adversarial estimate of the feature-marginal divergence
-    u_s = z_s @ m.wd + m.bd[0]
-    u_t = z_t @ m.wd + m.bd[0]
+    u = z @ m.wd + m.bd[0]
+    u_s, u_t = u[:ns], u[ns:]
     radv = float(-np.mean(_softplus(-u_s)) - np.mean(_softplus(u_t)))
-    coef_s3 = (1.0 - _sigmoid(u_s)) / ns
-    coef_t3 = -_sigmoid(u_t) / nt
-    g3 = _zero_grads(m)
-    g3["wd"] = coef_s3 @ z_s + coef_t3 @ z_t
-    g3["bd"] = np.array([coef_s3.sum() + coef_t3.sum()])
-    dz_s_3 = coef_s3[:, None] * m.wd
-    dz_t_3 = coef_t3[:, None] * m.wd
+    coef = lam0 * np.concatenate(((1.0 - _sigmoid(u_s)) / ns, -_sigmoid(u_t) / nt))
+    dz += coef[:, None] * m.wd
 
-    def backprop_features(grads: dict[str, np.ndarray], dz_src: np.ndarray,
-                          dz_tgt: np.ndarray) -> None:
-        for dz, a, xs in ((dz_src, a_s, src.xs), (dz_tgt, a_t, tgt.xs)):
-            grads["w2"] += dz.T @ a
-            grads["b2"] += dz.sum(axis=0)
-            da = (dz @ m.w2) * (1.0 - a * a)
-            grads["w1"] += da.T @ xs
-            grads["b1"] += da.sum(axis=0)
-
-    backprop_features(g1, dz_s_1, np.zeros_like(z_t))
-    backprop_features(g2, dz_s_2, dz_t_2)
-    backprop_features(g3, dz_s_3, dz_t_3)
-
+    da = (dz @ m.w2) * (1.0 - a * a)
+    grads = {"w1": da.T @ xs, "b1": da.sum(axis=0),
+             "w2": dz.T @ a, "b2": dz.sum(axis=0),
+             "wh": dlogits.T @ z_s, "bh": dlogits.sum(axis=0),
+             "wd": coef @ z, "bd": np.array([coef.sum()])}
     breakdown = {"weighted_source": t1, "conditional": t2, "adversarial": radv,
-                 "js_estimate": (radv + LOG4) / 2.0}
-    return breakdown, {"weighted_source": g1, "conditional": g2, "adversarial": g3}, new_st
-
-
-def composite_loss(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
-                   st: CentroidState, w: WeightVector, lam0: float, lam1: float,
-                   rho: float = 0.5, class_weights: np.ndarray | None = None,
-                   ) -> tuple[float, dict[str, float]]:
-    """Saddle objective term I + lam1 * term II + lam0 * term III, with breakdown."""
-    breakdown, _, _ = loss_terms_and_gradients(m, src, tgt, st, w, rho, class_weights)
-    total = (breakdown["weighted_source"] + lam1 * breakdown["conditional"]
-             + lam0 * breakdown["adversarial"])
-    breakdown = dict(breakdown, total=total)
-    return total, breakdown
+                 "js_estimate": (radv + LOG4) / 2.0,
+                 "total": lam_source * t1 + lam1 * t2 + lam0 * radv}
+    return breakdown, grads, new_st
 
 
 def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
@@ -333,30 +313,22 @@ def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
                ) -> tuple[ModelParams, CentroidState, dict[str, float]]:
     """One saddle step: descent on (h, g), ascent on d, centroid commit.
 
-    The discriminator moves along +grad of the adversarial term while the
-    extractor moves along -grad of the same term (the reversal); classifier
-    and extractor descend terms I and II.
+    The discriminator moves along +grad of the objective, which only term
+    III reaches, while the extractor and classifier move along -grad of the
+    same objective (the reversal).
     """
-    breakdown, grads, new_st = loss_terms_and_gradients(
-        m, src, tgt, st, w, rho, class_weights)
+    breakdown, grads, new_st = loss_and_gradients(
+        m, src, tgt, st, w, lam0, lam1, rho, class_weights)
     for term, value in breakdown.items():
         if not math.isfinite(value):
             raise TrainingError(f"non-finite loss in term {term!r}")
-    g1, g2, g3 = (grads["weighted_source"], grads["conditional"], grads["adversarial"])
     out = m.copy()
     for name, arr in out.param_items():
-        combined = g1[name] + lam1 * g2[name] + lam0 * g3[name]
-        if not np.all(np.isfinite(combined)):
-            culprit = next((t for t, g in grads.items()
-                            if not np.all(np.isfinite(g[name]))), "combined")
-            raise TrainingError(f"non-finite gradient in term {culprit!r} ({name})")
-        if name in ("wd", "bd"):
-            arr += lr * lam0 * g3[name]
-        else:
-            arr -= lr * combined
-    return out, new_st, dict(breakdown, total=breakdown["weighted_source"]
-                             + lam1 * breakdown["conditional"]
-                             + lam0 * breakdown["adversarial"])
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in {name}")
+        arr += (lr if name in ("wd", "bd") else -lr) * g
+    return out, new_st, breakdown
 
 
 def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
@@ -541,30 +513,30 @@ def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
                class_weights: np.ndarray | None = None) -> dict[str, float]:
     """Central-difference audit of every analytic gradient.
 
-    Returns the max relative error per loss term and for the composite,
-    over every parameter of every layer.
+    Each term's analytic gradient is ``loss_and_gradients`` with that term's
+    weight alone switched on, and the composite's has every weight on; one
+    central-difference sweep records the three term values and their
+    weighted total. Returns the max relative error per loss term and for the
+    composite, over every parameter of every layer.
     """
-    breakdown, grads, _ = loss_terms_and_gradients(m, src, tgt, st, w, rho,
-                                                   class_weights)
-
-    def fd(value_of: str) -> dict[str, np.ndarray]:
-        out = {}
-        for name, arr in m.param_items():
-            g = np.zeros_like(arr)
-            flat_p = arr.ravel()
-            flat_g = g.ravel()
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + step
-                hi, _, _ = loss_terms_and_gradients(m, src, tgt, st, w, rho,
-                                                    class_weights)
-                flat_p[i] = orig - step
-                lo, _, _ = loss_terms_and_gradients(m, src, tgt, st, w, rho,
-                                                    class_weights)
-                flat_p[i] = orig
-                flat_g[i] = (hi[value_of] - lo[value_of]) / (2.0 * step)
-            out[name] = g
-        return out
+    # breakdown key -> (lam0, lam1, lam_source) of its analytic gradient
+    weights = {"weighted_source": (0.0, 0.0, 1.0), "conditional": (0.0, 1.0, 0.0),
+               "adversarial": (1.0, 0.0, 0.0), "total": (lam0, lam1, 1.0)}
+    numeric = {key: {name: np.zeros_like(arr) for name, arr in m.param_items()}
+               for key in weights}
+    for name, arr in m.param_items():
+        flat_p = arr.ravel()
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + step
+            hi, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1, rho,
+                                          class_weights)
+            flat_p[i] = orig - step
+            lo, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1, rho,
+                                          class_weights)
+            flat_p[i] = orig
+            for key in weights:
+                numeric[key][name].flat[i] = (hi[key] - lo[key]) / (2.0 * step)
 
     def max_rel(analytic: dict[str, np.ndarray],
                 numeric: dict[str, np.ndarray]) -> float:
@@ -576,19 +548,11 @@ def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
         return worst
 
     result = {}
-    composite_fd: dict[str, np.ndarray] = {k: np.zeros_like(v)
-                                           for k, v in m.param_items()}
-    term_names = {"weighted_source": 1.0, "conditional": lam1, "adversarial": lam0}
-    for term, weight in term_names.items():
-        numeric = fd(term)
-        result[term] = max_rel(grads[term], numeric)
-        for name in composite_fd:
-            composite_fd[name] += weight * numeric[name]
-    composite_an = {name: grads["weighted_source"][name]
-                    + lam1 * grads["conditional"][name]
-                    + lam0 * grads["adversarial"][name]
-                    for name, _ in m.param_items()}
-    result["composite"] = max_rel(composite_an, composite_fd)
+    for key, (l0, l1, ls) in weights.items():
+        _, analytic, _ = loss_and_gradients(m, src, tgt, st, w, l0, l1, rho,
+                                            class_weights, lam_source=ls)
+        label = "composite" if key == "total" else key
+        result[label] = max_rel(analytic, numeric[key])
     return result
 
 
