@@ -23,8 +23,8 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .divergence import _conditional_js, js_divergence
-from .pmf import JointPmf, LossTable, Pmf, entropy_stats, expected_risk, marginals
+from .divergence import _conditional_js, _js_nats, js_divergence
+from .pmf import JointPmf, LossTable, Pmf, _conditional_entropy, expected_risk, marginals
 
 VERDICT_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-9
@@ -126,6 +126,11 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
         extras={"source_risk": r_s, "joint_js_nats": js})
 
 
+def _band_limits(r_s: float, width: float) -> tuple[float, float]:
+    """(R_S - width, R_S + width/sqrt(2)); the zero-one band has width sqrt(JS)."""
+    return r_s - width, r_s + width / math.sqrt(2.0)
+
+
 def zero_one_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundReport:
     """Two-sided band R_S - sqrt(JS) <= R_T <= R_S + sqrt(JS)/sqrt(2).
 
@@ -137,10 +142,9 @@ def zero_one_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundReport:
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
     js = js_divergence(s, t, "e")
+    lo, hi = _band_limits(r_s, math.sqrt(js))
     return BoundReport(
-        name="zero_one_band", lhs=r_t,
-        bound_lo=r_s - math.sqrt(js),
-        bound_hi=r_s + math.sqrt(js) / math.sqrt(2.0),
+        name="zero_one_band", lhs=r_t, bound_lo=lo, bound_hi=hi,
         inputs_digest=_joint_digest(s, t, 1.0),
         extras={"source_risk": r_s, "joint_js_nats": js})
 
@@ -149,10 +153,9 @@ def risk_band_from_values(r_s: float, js_nats: float) -> BoundReport:
     """The zero-one band evaluated from already-known (R_S, JS) values."""
     if js_nats < 0:
         raise BoundInputError("negative divergence")
+    lo, hi = _band_limits(r_s, math.sqrt(js_nats))
     return BoundReport(
-        name="zero_one_band", lhs=r_s,
-        bound_lo=r_s - math.sqrt(js_nats),
-        bound_hi=r_s + math.sqrt(js_nats) / math.sqrt(2.0),
+        name="zero_one_band", lhs=r_s, bound_lo=lo, bound_hi=hi,
         inputs_digest=f"R_S={r_s:.4g},JS={js_nats:.4g}")
 
 
@@ -162,9 +165,8 @@ def _conditional_shift_terms(s: JointPmf, t: JointPmf,
     if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
         raise BoundInputError("decomposition requires identical supports")
     cond_axis = "y|x" if axis == "x" else "x|y"
-    atoms, s_marg, t_marg, cond_js = _conditional_js(s, t, cond_axis)
-    marg_js = js_divergence(Pmf(atoms, s_marg / s_marg.sum()),
-                            Pmf(atoms, t_marg / t_marg.sum()), "e")
+    (atoms, s_marg, _), (_, t_marg, _), cond_js = _conditional_js(s, t, cond_axis)
+    marg_js = _js_nats(s_marg / s_marg.sum(), t_marg / t_marg.sum())
     cond_sum = 0.0
     for weights in (t_marg, s_marg):
         terms = []
@@ -219,7 +221,7 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     """
     if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
         raise BoundInputError("intrinsic-error bound requires identical supports")
-    _, s_x, t_x, cond_js = _conditional_js(s, t, "y|x")
+    (_, s_x, s_probs), (_, t_x, t_probs), cond_js = _conditional_js(s, t, "y|x")
     delta2 = 0.0
     for atom, sw, tw in zip(s.x_atoms, s_x.tolist(), t_x.tolist()):
         if sw <= 0.0 and tw <= 0.0:
@@ -227,10 +229,9 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
         if atom not in cond_js:
             raise BoundInputError(f"missing conditional at atom {atom!r}")
         delta2 = max(delta2, cond_js[atom])
-    delta1 = js_divergence(Pmf(s.x_atoms, s_x / s_x.sum()),
-                           Pmf(t.x_atoms, t_x / t_x.sum()), "e")
-    _, eps = entropy_stats(s, "e")
-    _, lhs = entropy_stats(t, "e")
+    delta1 = _js_nats(s_x / s_x.sum(), t_x / t_x.sum())
+    eps = _conditional_entropy(s_x, s_probs)
+    lhs = _conditional_entropy(t_x, t_probs)
     n_labels = len(s.y_atoms)
     hi = eps + math.sqrt(delta2 / 2.0) + math.sqrt(delta1) / 2.0 * math.log(n_labels)
     ln2 = math.log(2.0)
@@ -259,10 +260,9 @@ def open_set_band(r_s: float, alpha: float, delta: float,
     if delta < 0.0:
         raise BoundInputError("conditional-shift level delta must be >= 0")
     width = math.sqrt(1.0 - alpha) + 2.0 * math.sqrt(delta)
-    lhs = r_s if r_t is None else r_t
+    lo, hi = _band_limits(r_s, width)
     return BoundReport(
-        name="open_set_band", lhs=lhs,
-        bound_lo=r_s - width, bound_hi=r_s + width / math.sqrt(2.0),
+        name="open_set_band", lhs=r_s if r_t is None else r_t, bound_lo=lo, bound_hi=hi,
         inputs_digest=f"alpha={alpha:.4g},delta={delta:.4g}",
         extras={"source_risk": r_s, "band_width_term": width})
 

@@ -22,16 +22,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .pmf import (
-    Axis,
-    DistributionError,
-    JointPmf,
-    LogBase,
-    Pmf,
-    _log_with_base,
-    align_supports,
-    conditional_rows,
-)
+from .pmf import (Axis, DistributionError, JointPmf, LogBase, Pmf, _log_with_base,
+                  align_supports, conditional_rows)
 
 DivergenceKind = Literal["KL", "JS", "TV", "Renyi2"]
 
@@ -85,8 +77,20 @@ def _kl(p: np.ndarray, q: np.ndarray, log) -> float:
 
 
 def _js(p: np.ndarray, q: np.ndarray, log) -> float:
-    m = 0.5 * (p + q)
-    return 0.5 * (_kl(p, m, log) + _kl(q, m, log))
+    # p/m taken as 2p/(p+q): the same bits as p/(0.5*(p+q)) wherever halving
+    # is exact, and never a zero mixture on a subnormal atom
+    p_terms, q_terms = [], []
+    for pi, qi in zip(p.tolist(), q.tolist()):
+        if pi > 0.0:
+            p_terms.append(pi * log(2.0 * pi / (pi + qi)))
+        if qi > 0.0:
+            q_terms.append(qi * log(2.0 * qi / (pi + qi)))
+    return 0.5 * (math.fsum(p_terms) + math.fsum(q_terms))
+
+
+def _js_nats(p: np.ndarray, q: np.ndarray) -> float:
+    """JS in nats of two aligned probability arrays, clamped as ``divergence`` does."""
+    return DivergenceValue("JS", _js(p, q, math.log), "e").value
 
 
 def _renyi2(p: np.ndarray, q: np.ndarray, log) -> float:
@@ -142,17 +146,17 @@ def half_total_variation(p, q) -> float:
 
 
 def _conditional_js(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
-    """(atoms, s weights, t weights, {atom: JS}) of two same-support joints.
+    """(s rows, t rows, {atom: JS}) of two same-support joints.
 
-    The JS (nats) between the two conditionals at each atom where both exist
-    equals ``js_divergence`` of the ``conditionals`` Pmfs bit for bit.
+    Each rows entry is that joint's ``conditional_rows(·, axis)``. The JS
+    (nats) between the two conditionals at each atom where both exist equals
+    ``js_divergence`` of the ``conditionals`` Pmfs bit for bit.
     """
-    atoms, s_w, s_rows = conditional_rows(s, axis)
-    _, t_w, t_rows = conditional_rows(t, axis)
-    js = {a: DivergenceValue("JS", _js(p, q, math.log), "e").value
-          for a, sw, tw, p, q in zip(atoms, s_w, t_w, s_rows, t_rows)
+    s_rows, t_rows = conditional_rows(s, axis), conditional_rows(t, axis)
+    (atoms, s_w, s_probs), (_, t_w, t_probs) = s_rows, t_rows
+    js = {a: _js_nats(p, q) for a, sw, tw, p, q in zip(atoms, s_w, t_w, s_probs, t_probs)
           if sw > 0 and tw > 0}
-    return atoms, s_w, t_w, js
+    return s_rows, t_rows, js
 
 
 def js_distance(p, q, base: LogBase = "e") -> float:

@@ -12,7 +12,11 @@ Conventions used throughout the package:
   computation needs them), but they never produce a conditional distribution;
 - 0 * log 0 = 0 everywhere;
 - accumulation uses ``math.fsum`` so that pinned analytic values (e.g. exact
-  disjoint-support divergences) come out bit-clean.
+  disjoint-support divergences) come out bit-clean;
+- ``Pmf(...)`` validates and is the only public constructor. The unchecked
+  ``Pmf._unchecked`` is used only on arrays derived from objects that were
+  already validated (marginals, aligned supports, sum-checked conditional
+  rows), where the checks could not fail.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -45,7 +49,7 @@ def _log_with_base(base: LogBase | float) -> float:
 
 def _check_total(values: np.ndarray, what: str = "probabilities sum") -> None:
     total = math.fsum(values.ravel().tolist())
-    if abs(total - 1.0) > VALIDITY_TOL:
+    if not abs(total - 1.0) <= VALIDITY_TOL:  # NaN fails too
         raise DistributionError(f"{what} to {total!r}, not 1")
 
 
@@ -75,7 +79,7 @@ class Pmf:
             raise DistributionError("atoms and probs must be 1-D and aligned")
         if len(set(self.atoms)) != len(self.atoms):
             raise DistributionError("support atoms must be unique")
-        if np.any(self.probs < 0):
+        if (self.probs < 0).any():
             raise DistributionError("negative probability mass")
         _check_total(self.probs)
         if self.coords is not None:
@@ -83,6 +87,14 @@ class Pmf:
             if len(coords) != len(self.atoms):
                 raise DistributionError("coords must align with atoms")
             object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _unchecked(cls, atoms: tuple, probs: np.ndarray, coords: tuple | None = None) -> "Pmf":
+        """No checks; ``probs`` must be a fresh float array, which gets frozen."""
+        probs.setflags(write=False)
+        pmf = object.__new__(cls)
+        pmf.__dict__.update(atoms=atoms, probs=probs, coords=coords)
+        return pmf
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -101,12 +113,6 @@ class Pmf:
             raise DistributionError("empty support")
         return Pmf(tuple(atoms), np.full(n, 1.0 / n),
                    None if coords is None else tuple(coords))
-
-    def to_json_dict(self) -> dict:
-        d: dict = {"support": list(self.atoms), "probs": self.probs.tolist()}
-        if self.coords is not None:
-            d["coords"] = list(self.coords)
-        return d
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class JointPmf:
                 f"mass grid {self.mass.shape} does not match supports ({nx},{ny})")
         if len(set(self.x_atoms)) != nx or len(set(self.y_atoms)) != ny:
             raise DistributionError("support atoms must be unique")
-        if np.any(self.mass < 0):
+        if (self.mass < 0).any():
             raise DistributionError("negative joint mass")
         _check_total(self.mass, "joint mass sums")
 
@@ -142,25 +148,19 @@ class JointPmf:
         atoms = tuple((x, y) for x in self.x_atoms for y in self.y_atoms)
         return Pmf(atoms, self.mass.ravel())
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "x_support": [list(a) if isinstance(a, tuple) else a for a in self.x_atoms],
             "y_support": [list(a) if isinstance(a, tuple) else a for a in self.y_atoms],
             "mass": self.mass.tolist(),
-        }
-
-    @staticmethod
-    def from_json_dict(d: Mapping) -> "JointPmf":
-        xs = tuple(tuple(a) if isinstance(a, list) else a for a in d["x_support"])
-        ys = tuple(tuple(a) if isinstance(a, list) else a for a in d["y_support"])
-        return JointPmf(xs, ys, np.asarray(d["mass"], dtype=float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        })
 
     @staticmethod
     def from_json(s: str) -> "JointPmf":
-        return JointPmf.from_json_dict(json.loads(s))
+        d = json.loads(s)
+        xs = tuple(tuple(a) if isinstance(a, list) else a for a in d["x_support"])
+        ys = tuple(tuple(a) if isinstance(a, list) else a for a in d["y_support"])
+        return JointPmf(xs, ys, np.asarray(d["mass"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,10 @@ class LossTable:
 
 def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
     """Row/column sums of the joint grid as (Pmf over X, Pmf over Y)."""
-    px = j.mass.sum(axis=1)
-    py = j.mass.sum(axis=0)
+    px, py = j.mass.sum(axis=1), j.mass.sum(axis=0)
     # Tiny accumulation drift is absorbed so downstream validity holds.
-    return (Pmf(j.x_atoms, px / math.fsum(px.tolist())),
-            Pmf(j.y_atoms, py / math.fsum(py.tolist())))
+    return (Pmf._unchecked(j.x_atoms, px / math.fsum(px.tolist())),
+            Pmf._unchecked(j.y_atoms, py / math.fsum(py.tolist())))
 
 
 def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -226,7 +225,8 @@ def conditionals(j: JointPmf, axis: Axis) -> dict:
     """
     atoms, weights, rows = conditional_rows(j, axis)
     support = j.y_atoms if axis == "y|x" else j.x_atoms
-    family = {a: Pmf(support, row) for a, w, row in zip(atoms, weights, rows) if w > 0}
+    family = {a: Pmf._unchecked(support, row)
+              for a, w, row in zip(atoms, weights, rows) if w > 0}
     if not family:
         raise DistributionError("empty conditional family")
     return family
@@ -255,8 +255,12 @@ def entropy_stats(j: JointPmf, base: LogBase = "e") -> tuple[float, float]:
     """
     _, py = marginals(j)
     _, weights, rows = conditional_rows(j, "y|x")
-    terms = [w * entropy(row) for w, row in zip(weights, rows) if w > 0]
-    return entropy(py, base), math.fsum(terms) / _log_with_base(base)
+    return entropy(py, base), _conditional_entropy(weights, rows) / _log_with_base(base)
+
+
+def _conditional_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
+    """H(Y|X) in nats from the weights and rows of ``conditional_rows(j, "y|x")``."""
+    return math.fsum(w * entropy(row) for w, row in zip(weights, rows) if w > 0)
 
 
 def mixture(p: Pmf | JointPmf, q: Pmf | JointPmf, weight: float = 0.5):
@@ -304,4 +308,4 @@ def align_supports(p: Pmf, q: Pmf) -> tuple[Pmf, Pmf]:
                     f"incompatible atom coordinates for {a!r}: {cp[a]} vs {cq[a]}")
         merged = {**cq, **cp}
         coords = tuple(merged[a] for a in atoms)
-    return (Pmf(atoms, pp, coords), Pmf(atoms, qq, coords))
+    return (Pmf._unchecked(atoms, pp, coords), Pmf._unchecked(atoms, qq, coords))

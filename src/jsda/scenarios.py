@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -89,18 +89,8 @@ class ShiftScenario:
         raise ScenarioError(f"unknown domain {domain!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_classes": self.n_classes,
-            "source_means": self.source_means.tolist(),
-            "source_covs": self.source_covs.tolist(),
-            "target_means": self.target_means.tolist(),
-            "target_covs": self.target_covs.tolist(),
-            "source_label_marginal": self.source_label_marginal.tolist(),
-            "target_label_marginal": self.target_label_marginal.tolist(),
-            "overlap_alpha": self.overlap_alpha,
-            "seed": self.seed,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
     @staticmethod
     def from_json_dict(d: dict) -> "ShiftScenario":

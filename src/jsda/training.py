@@ -569,14 +569,10 @@ def ablate(sc: ShiftScenario, cfg: TrainConfig,
                    ("I", "II", "III")]
     rows = []
     for subset in subsets:
-        accs = []
-        for seed in seeds:
-            cfg_run = replace(cfg, principles=frozenset(subset), seed=int(seed))
-            trace = run_training(sc, cfg_run)
-            accs.append(trace.target_accuracy[-1])
-        arr = np.array(accs)
-        label = "+".join(p for p in PRINCIPLES if p in set(subset))
-        rows.append({"principles": label,
+        cfg_subset = replace(cfg, principles=frozenset(subset))
+        runs = (replace(cfg_subset, seed=int(seed)) for seed in seeds)
+        arr = np.array([run_training(sc, c).target_accuracy[-1] for c in runs])
+        rows.append({"principles": cfg_subset.principles_label(),
                      "mean_accuracy": float(arr.mean()),
                      "std_accuracy": float(arr.std()),
                      "n_seeds": len(seeds)})

@@ -1,5 +1,6 @@
 """CLI tests: dispatch, exit codes, report formatting, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,13 @@ class TestVerifyBounds:
             dispatch(["verify-bounds", "--suite", "sandwich", "--trials", "30",
                       "--seed", "11", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_all_suites_report_digest_pinned(self, tmp_path):
+        out = tmp_path / "all.csv"
+        assert dispatch(["verify-bounds", "--suite", "all", "--trials", "1000",
+                         "--seed", "7", "--out", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "e4249f1b519f1f10c3afc8a66ee02efc97bda6e286616c2a4505c17c1e5c00c7")
 
 
 class TestScenarioCommands:

@@ -20,7 +20,7 @@ from jsda import (
     pushforward,
     total_variation,
 )
-from jsda.divergence import _conditional_js
+from jsda.divergence import _conditional_js, _js
 
 
 def random_pmf(rng, n=None):
@@ -72,6 +72,27 @@ def random_sparse_joint(rng, nx, ny):
                     mass / math.fsum(mass.ravel().tolist()))
 
 
+def js_two_pass(p, q, log):
+    """Reference: 1/2[KL(p||m) + KL(q||m)] with the mixture m = (p + q)/2 built first."""
+    def kl(a, m):
+        terms = []
+        for ai, mi in zip(a.tolist(), m.tolist()):
+            if ai > 0.0:
+                if mi <= 0.0:
+                    return math.inf
+                terms.append(ai * log(ai / mi))
+        return math.fsum(terms)
+
+    m = 0.5 * (p + q)
+    return 0.5 * (kl(p, m) + kl(q, m))
+
+
+def sparse_probs(rng, n):
+    probs = rng.random(n) * (rng.random(n) < 0.75)
+    probs[int(rng.integers(n))] += 0.1
+    return probs / math.fsum(probs.tolist())
+
+
 class TestDivergenceValues:
     def test_js_identity(self):
         rng = np.random.default_rng(0)
@@ -92,6 +113,29 @@ class TestDivergenceValues:
         assert divergence("KL", s, m, "2").value == pytest.approx(0.02110, abs=5e-5)
         assert divergence("KL", t, m, "2").value == pytest.approx(0.02032, abs=5e-5)
         assert js_divergence(t, s, "2") == pytest.approx(0.0207, abs=5e-4)
+
+    def test_one_pass_js_equals_two_pass_reference(self):
+        rng = np.random.default_rng(41)
+        for trial in range(420):
+            n = int(rng.integers(2, 11)) if trial % 7 else int(rng.integers(11, 1601))
+            n = 1600 if trial == 0 else n
+            p = sparse_probs(rng, n)
+            if trial % 3 == 0:
+                q = sparse_probs(rng, n)
+            else:  # near-equal: the same zeros, masses a relative 1e-9 or 1e-15 apart
+                q = p * (1.0 + 10.0 ** -(9 + 6 * (trial % 3 - 1)) * rng.standard_normal(n))
+                q /= math.fsum(q.tolist())
+            for log in (math.log, math.log2):
+                assert _js(p, q, log) == js_two_pass(p, q, log)
+                assert _js(q, p, log) == js_two_pass(q, p, log)
+
+    def test_subnormal_atom_keeps_js_finite(self):
+        p = Pmf((0, 1), np.array([5e-324, 1.0]))
+        q = Pmf((0, 1), np.array([0.0, 1.0]))
+        for base, cap in (("e", math.log(2.0)), ("2", 1.0)):
+            for a, b in ((p, q), (q, p)):
+                value = js_divergence(a, b, base)
+                assert math.isfinite(value) and 0.0 <= value <= cap
 
     def test_kl_non_domination_is_infinite_not_an_error(self):
         p = Pmf((0, 1), np.array([0.5, 0.5]))
@@ -183,7 +227,7 @@ class TestConditionalFamily:
             nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 5))
             s, t = random_sparse_joint(rng, nx, ny), random_sparse_joint(rng, nx, ny)
             for axis in ("y|x", "x|y"):
-                atoms, s_w, t_w, family = _conditional_js(s, t, axis)
+                (atoms, s_w, _), (_, t_w, _), family = _conditional_js(s, t, axis)
                 s_cond, t_cond = conditionals(s, axis), conditionals(t, axis)
                 dim = 1 if axis == "y|x" else 0
                 assert atoms == (s.x_atoms if dim else s.y_atoms)

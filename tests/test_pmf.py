@@ -40,6 +40,27 @@ class TestValidation:
         with pytest.raises(DistributionError, match="unique"):
             Pmf((0, 0), np.array([0.5, 0.5]))
 
+    def test_nan_mass_rejected(self):
+        with pytest.raises(DistributionError, match="sum"):
+            Pmf((0, 1), np.array([math.nan, 1.0]))
+
+    def test_nan_joint_cell_rejected(self):
+        with pytest.raises(DistributionError, match="sum"):
+            JointPmf((0, 1), (0, 1), np.array([[math.nan, 0.5], [0.25, 0.25]]))
+
+    def test_derived_pmfs_are_locked_and_pass_validation(self):
+        rng = np.random.default_rng(12)
+        j = random_joint(rng)
+        px, py = marginals(j)
+        other = Pmf((len(px) + 1, 0), np.array([0.5, 0.5]))
+        derived = [px, py, *conditionals(j, "y|x").values(), *conditionals(j, "x|y").values(),
+                   *align_supports(px, other)]
+        for d in derived:
+            assert not d.probs.flags.writeable
+            checked = Pmf(d.atoms, d.probs, d.coords)
+            assert isinstance(d.atoms, tuple) and checked.atoms == d.atoms
+            assert np.array_equal(checked.probs, d.probs) and checked.coords == d.coords
+
     def test_joint_needs_two_labels(self):
         with pytest.raises(DistributionError, match="two labels"):
             JointPmf((0, 1), (0,), np.array([[0.5], [0.5]]))
