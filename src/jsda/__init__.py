@@ -64,7 +64,7 @@ from .scenarios import (
     midpoint_classifier,
     sample,
 )
-from .suites import BOUND_SUITES, DIVERGENCE_SUITES, SUITE_NAMES, run_suite, violations
+from .suites import SUITE_NAMES, run_suite, violations
 from .training import (
     CentroidState,
     ModelParams,

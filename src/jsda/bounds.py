@@ -7,6 +7,11 @@ upper bound comes from a sub-Gaussian moment-generating-function argument
 that only closes under natural logarithms. Where a base-2 restatement is
 useful (the intrinsic-error bound) it is attached to ``extras``.
 
+The four verifiers built on the marginal-plus-conditional split take their
+conditional families from one core, ``_conditional_terms``, which holds the
+rules they share: identical supports, and a ``BoundInputError`` for an atom
+with mass under only one joint (it has no conditional to compare).
+
 A caution on the intrinsic-error transfer bound: the inequality as
 implemented is not universally valid. Near deterministic conditionals the
 entropy gap can exceed sqrt(delta2/2) (e.g. S(y|x)=(1,0) vs T(y|x)=(0.9,0.1)
@@ -23,8 +28,11 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .divergence import _conditional_js, _js_nats, js_divergence
-from .pmf import JointPmf, LossTable, Pmf, _conditional_entropy, expected_risk, marginals
+from .divergence import _js_nats, js_divergence
+from .labelshift import WeightVector, _true_label_ratio, reweighted_risk
+from .pmf import (Axis, JointPmf, LossTable, Pmf, _conditional_entropy, conditional_rows,
+                  expected_risk, marginals)
+from .scenarios import linear_zero_one_risk, midpoint_classifier, sample
 
 VERDICT_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-9
@@ -151,7 +159,7 @@ def zero_one_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundReport:
 
 def risk_band_from_values(r_s: float, js_nats: float) -> BoundReport:
     """The zero-one band evaluated from already-known (R_S, JS) values."""
-    if js_nats < 0:
+    if not js_nats >= 0:
         raise BoundInputError("negative divergence")
     lo, hi = _band_limits(r_s, math.sqrt(js_nats))
     return BoundReport(
@@ -159,25 +167,32 @@ def risk_band_from_values(r_s: float, js_nats: float) -> BoundReport:
         inputs_digest=f"R_S={r_s:.4g},JS={js_nats:.4g}")
 
 
+def _conditional_terms(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
+    """((s weights, s rows), (t weights, t rows), per-atom JS in nats).
+
+    Each (weights, rows) pair is that joint's ``conditional_rows(·, axis)``.
+    The JS at an atom where both joints have mass equals ``js_divergence``
+    of the two ``conditionals`` Pmfs bit for bit; it is 0.0 where neither
+    has mass. An atom with mass under only one joint is an error.
+    """
+    if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
+        raise BoundInputError("conditional terms require identical supports")
+    (atoms, s_w, s_rows), (_, t_w, t_rows) = conditional_rows(s, axis), conditional_rows(t, axis)
+    js = np.zeros(len(atoms))
+    for k in np.flatnonzero((s_w > 0) & (t_w > 0)):
+        js[k] = _js_nats(s_rows[k], t_rows[k])
+    one_sided = np.flatnonzero((s_w > 0) != (t_w > 0))
+    if one_sided.size:
+        raise BoundInputError(f"missing conditional at atom {atoms[one_sided[0]]!r}")
+    return (s_w, s_rows), (t_w, t_rows), js
+
+
 def _conditional_shift_terms(s: JointPmf, t: JointPmf,
                              axis: MarginalAxis) -> tuple[float, float]:
     """(marginal JS, summed expected conditional JS) along one axis, nats."""
-    if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
-        raise BoundInputError("decomposition requires identical supports")
-    cond_axis = "y|x" if axis == "x" else "x|y"
-    (atoms, s_marg, _), (_, t_marg, _), cond_js = _conditional_js(s, t, cond_axis)
+    (s_marg, _), (t_marg, _), js = _conditional_terms(s, t, "y|x" if axis == "x" else "x|y")
     marg_js = _js_nats(s_marg / s_marg.sum(), t_marg / t_marg.sum())
-    cond_sum = 0.0
-    for weights in (t_marg, s_marg):
-        terms = []
-        for atom, w in zip(atoms, weights.tolist()):
-            if w <= 0.0:
-                continue
-            if atom not in cond_js:
-                raise BoundInputError(f"missing conditional at atom {atom!r}")
-            terms.append(w * cond_js[atom])
-        cond_sum += math.fsum(terms)
-    return marg_js, cond_sum
+    return marg_js, math.fsum((t_marg * js).tolist()) + math.fsum((s_marg * js).tolist())
 
 
 def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
@@ -219,16 +234,8 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     This inequality can genuinely fail near deterministic conditionals; the
     report then says so.
     """
-    if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
-        raise BoundInputError("intrinsic-error bound requires identical supports")
-    (_, s_x, s_probs), (_, t_x, t_probs), cond_js = _conditional_js(s, t, "y|x")
-    delta2 = 0.0
-    for atom, sw, tw in zip(s.x_atoms, s_x.tolist(), t_x.tolist()):
-        if sw <= 0.0 and tw <= 0.0:
-            continue
-        if atom not in cond_js:
-            raise BoundInputError(f"missing conditional at atom {atom!r}")
-        delta2 = max(delta2, cond_js[atom])
+    (s_x, s_probs), (t_x, t_probs), js = _conditional_terms(s, t, "y|x")
+    delta2 = float(js.max())
     delta1 = _js_nats(s_x / s_x.sum(), t_x / t_x.sum())
     eps = _conditional_entropy(s_x, s_probs)
     lhs = _conditional_entropy(t_x, t_probs)
@@ -257,7 +264,7 @@ def open_set_band(r_s: float, alpha: float, delta: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise BoundInputError("overlap fraction alpha must lie in (0, 1]")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise BoundInputError("conditional-shift level delta must be >= 0")
     width = math.sqrt(1.0 - alpha) + 2.0 * math.sqrt(delta)
     lo, hi = _band_limits(r_s, width)
@@ -299,13 +306,10 @@ def matched_conditional_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundRep
         raise BoundInputError("matched-conditional band requires |Y| = 2")
     if not l.is_zero_one:
         raise BoundInputError("matched-conditional band requires zero-one loss")
-    if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
-        raise BoundInputError("matched-conditional band requires identical supports")
-    *_, cond_js = _conditional_js(s, t, "x|y")
-    for y in s.y_atoms:
-        if y not in cond_js:
+    (s_w, _), _, js = _conditional_terms(s, t, "x|y")
+    for y, w, gap in zip(s.y_atoms, s_w.tolist(), js.tolist()):
+        if w <= 0.0:
             raise BoundInputError(f"missing class conditional for label {y!r}")
-        gap = cond_js[y]
         if gap > HYPOTHESIS_TOL:
             raise BoundInputError(
                 f"matched-conditional hypothesis violated at label {y!r}: JS={gap:.3g}")
@@ -350,7 +354,7 @@ def label_conditional_floor(js_label_nats: float, js_feature_nats: float) -> flo
     marginals have been matched; shrinking the feature JS with a fixed label
     JS raises it.
     """
-    if js_label_nats < 0 or js_feature_nats < 0:
+    if not js_label_nats >= 0 or not js_feature_nats >= 0:
         raise BoundInputError("divergences must be nonnegative")
     root = math.sqrt(js_label_nats) - math.sqrt(js_feature_nats)
     return 2.0 * max(0.0, root) ** 2
@@ -385,15 +389,9 @@ def reweighted_convergence_check(scenario, n_grid: Sequence[int],
     and median gap and the median of gap*sqrt(n); no rate constant is
     asserted, only reported.
     """
-    from .labelshift import WeightVector, reweighted_risk
-    from .scenarios import linear_zero_one_risk, midpoint_classifier, sample
-
     w_vec, b = midpoint_classifier(scenario)
     r_t = linear_zero_one_risk(scenario, "target", w_vec, b)
-    s_y = scenario.source_label_marginal
-    t_y = scenario.target_label_marginal
-    alpha = np.where(s_y > 0, t_y / np.where(s_y > 0, s_y, 1.0), 0.0)
-    weights = WeightVector(alpha)
+    weights = WeightVector(_true_label_ratio(scenario))
     rows = []
     for n in n_grid:
         gaps = []

@@ -22,8 +22,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .pmf import (Axis, DistributionError, JointPmf, LogBase, Pmf, _log_with_base,
-                  align_supports, conditional_rows)
+from .pmf import DistributionError, JointPmf, LogBase, Pmf, _log_with_base, align_supports
 
 DivergenceKind = Literal["KL", "JS", "TV", "Renyi2"]
 
@@ -57,13 +56,6 @@ def _paired_probs(p: Pmf | JointPmf, q: Pmf | JointPmf) -> tuple[np.ndarray, np.
         pa, qa = align_supports(p, q)
         return pa.probs, qa.probs
     raise DistributionError("divergence requires two Pmfs or two JointPmfs")
-
-
-def _log_fn(base: LogBase | float):
-    # computing directly in the requested base keeps e.g. the disjoint-support
-    # JS bit-exact in base 2 (log2 of an exact power of two is exact)
-    _log_with_base(base)
-    return math.log2 if base in ("2", 2, 2.0) else math.log
 
 
 def _kl(p: np.ndarray, q: np.ndarray, log) -> float:
@@ -112,7 +104,10 @@ def divergence(kind: DivergenceKind, p: Pmf | JointPmf, q: Pmf | JointPmf,
     the base (it is not logarithmic).
     """
     pp, qq = _paired_probs(p, q)
-    log = _log_fn(base)
+    _log_with_base(base)  # rejects an unsupported base
+    # computing directly in the requested base keeps e.g. the disjoint-support
+    # JS bit-exact in base 2 (log2 of an exact power of two is exact)
+    log = math.log2 if base == "2" else math.log
     if kind == "KL":
         v = _kl(pp, qq, log)
     elif kind == "JS":
@@ -123,8 +118,7 @@ def divergence(kind: DivergenceKind, p: Pmf | JointPmf, q: Pmf | JointPmf,
         v = _renyi2(pp, qq, log)
     else:
         raise DistributionError(f"unknown divergence kind {kind!r}")
-    base_name: LogBase = "e" if base in ("e", math.e) else "2"
-    return DivergenceValue(kind, v, base_name)
+    return DivergenceValue(kind, v, base)
 
 
 def js_divergence(p, q, base: LogBase = "e") -> float:
@@ -143,20 +137,6 @@ def total_variation(p, q) -> float:
 def half_total_variation(p, q) -> float:
     """Halved total variation metric, in [0, 1]."""
     return 0.5 * total_variation(p, q)
-
-
-def _conditional_js(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
-    """(s rows, t rows, {atom: JS}) of two same-support joints.
-
-    Each rows entry is that joint's ``conditional_rows(·, axis)``. The JS
-    (nats) between the two conditionals at each atom where both exist equals
-    ``js_divergence`` of the ``conditionals`` Pmfs bit for bit.
-    """
-    s_rows, t_rows = conditional_rows(s, axis), conditional_rows(t, axis)
-    (atoms, s_w, s_probs), (_, t_w, t_probs) = s_rows, t_rows
-    js = {a: _js_nats(p, q) for a, sw, tw, p, q in zip(atoms, s_w, t_w, s_probs, t_probs)
-          if sw > 0 and tw > 0}
-    return s_rows, t_rows, js
 
 
 def js_distance(p, q, base: LogBase = "e") -> float:
@@ -202,16 +182,15 @@ def h_divergence_1d(p: Pmf, q: Pmf) -> float:
     return 1.0 - 2.0 * best
 
 
-def pushforward(p: Pmf | JointPmf, mapping: Callable) -> Pmf:
-    """Image distribution of p under a total map on its support.
+def pushforward(p: Pmf, mapping: Callable) -> Pmf:
+    """Image distribution of the Pmf p under a total map on its support.
 
     Mass of atoms colliding in the image is summed. Image atom order follows
-    first appearance. Joints are flattened to Pmfs over (x, y) pairs first.
+    first appearance.
     """
-    src = p.flatten() if isinstance(p, JointPmf) else p
     out: dict = {}
     order: list = []
-    for atom, m in zip(src.atoms, src.probs.tolist()):
+    for atom, m in zip(p.atoms, p.probs.tolist()):
         image = mapping(atom)
         if image not in out:
             out[image] = 0.0

@@ -17,6 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .pmf import Pmf
+from .scenarios import midpoint_classifier, sample
 
 CONDITION_LIMIT = 1e8
 RESIDUAL_TOL = 1e-6
@@ -135,6 +136,13 @@ def reweighted_risk(labels: Sequence[int], losses: Sequence[float],
     return float(np.mean(w.alpha[l] * v))
 
 
+def _true_label_ratio(scenario) -> np.ndarray:
+    """The scenario's exact alpha(y) = T(y)/S(y), 0 where S(y) = 0."""
+    s_y = scenario.source_label_marginal
+    t_y = scenario.target_label_marginal
+    return np.where(s_y > 0, t_y / np.where(s_y > 0, s_y, 1.0), 0.0)
+
+
 def estimate_scenario_weights(scenario, n: int, seed: int = 0) -> dict:
     """End-to-end weight recovery on a synthetic scenario.
 
@@ -143,8 +151,6 @@ def estimate_scenario_weights(scenario, n: int, seed: int = 0) -> dict:
     prediction marginal, and solves for the weights. Returns the true ratio,
     the estimate, the sup-norm error, and the classifier's source accuracy.
     """
-    from .scenarios import midpoint_classifier, sample
-
     w_vec, b = midpoint_classifier(scenario)
     src = sample(scenario, "source", n, stream=(seed, 0))
     tgt = sample(scenario, "target", n, stream=(seed, 1))
@@ -153,9 +159,7 @@ def estimate_scenario_weights(scenario, n: int, seed: int = 0) -> dict:
     cm = confusion_matrix(src_preds, src.ys, n_classes=scenario.n_classes)
     t_pred = np.bincount(tgt_preds, minlength=scenario.n_classes) / n
     est = bbsl_weights(cm, t_pred)
-    s_y = scenario.source_label_marginal
-    t_y = scenario.target_label_marginal
-    truth = np.where(s_y > 0, t_y / np.where(s_y > 0, s_y, 1.0), 0.0)
+    truth = _true_label_ratio(scenario)
     return {
         "true_alpha": truth,
         "estimated_alpha": est.alpha,

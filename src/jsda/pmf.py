@@ -38,11 +38,11 @@ class DistributionError(ValueError):
     """A probability object violates its contract."""
 
 
-def _log_with_base(base: LogBase | float) -> float:
+def _log_with_base(base: LogBase) -> float:
     """Return the divisor converting natural logs to the requested base."""
-    if base in ("e", math.e):
+    if base == "e":
         return 1.0
-    if base in ("2", 2, 2.0):
+    if base == "2":
         return math.log(2.0)
     raise DistributionError(f"unsupported log base {base!r}; use 'e' or '2'")
 
@@ -142,11 +142,6 @@ class JointPmf:
     @property
     def shape(self) -> tuple[int, int]:
         return self.mass.shape
-
-    def flatten(self) -> Pmf:
-        """View the joint as a Pmf over (x, y) pair atoms."""
-        atoms = tuple((x, y) for x in self.x_atoms for y in self.y_atoms)
-        return Pmf(atoms, self.mass.ravel())
 
     def to_json(self) -> str:
         return json.dumps({
@@ -263,25 +258,14 @@ def _conditional_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
     return math.fsum(w * entropy(row) for w, row in zip(weights, rows) if w > 0)
 
 
-def mixture(p: Pmf | JointPmf, q: Pmf | JointPmf, weight: float = 0.5):
-    """Pointwise mixture weight*p + (1-weight)*q on the unioned support.
+def mixture(p: Pmf, q: Pmf) -> Pmf:
+    """The even mixture (p + q)/2 of two Pmfs on their unioned support.
 
-    Pmf supports are unioned with zero fill (atoms keep p's order, then q's
-    new atoms); coordinates, when present on both, must agree on shared
-    atoms. Joints must share both supports exactly.
+    Supports are unioned with zero fill (atoms keep p's order, then q's new
+    atoms); coordinates, when present on both, must agree on shared atoms.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise DistributionError("mixture weight must lie in [0, 1]")
-    if isinstance(p, JointPmf) and isinstance(q, JointPmf):
-        if p.x_atoms != q.x_atoms or p.y_atoms != q.y_atoms:
-            raise DistributionError("joint mixture requires identical supports")
-        return JointPmf(p.x_atoms, p.y_atoms,
-                        weight * p.mass + (1.0 - weight) * q.mass)
-    if isinstance(p, Pmf) and isinstance(q, Pmf):
-        pa, qa = align_supports(p, q)
-        probs = weight * pa.probs + (1.0 - weight) * qa.probs
-        return Pmf(pa.atoms, probs, pa.coords)
-    raise DistributionError("mixture requires two Pmfs or two JointPmfs")
+    pa, qa = align_supports(p, q)
+    return Pmf(pa.atoms, 0.5 * pa.probs + 0.5 * qa.probs, pa.coords)
 
 
 def align_supports(p: Pmf, q: Pmf) -> tuple[Pmf, Pmf]:

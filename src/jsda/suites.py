@@ -217,9 +217,6 @@ _SUITES: dict[str, Callable] = {
 
 SUITE_NAMES: tuple[str, ...] = tuple(_SUITES)
 
-BOUND_SUITES: tuple[str, ...] = SUITE_NAMES[:8]
-DIVERGENCE_SUITES: tuple[str, ...] = SUITE_NAMES[8:]
-
 
 def run_suite(name: str, trials: int, seed: int) -> list[BoundReport]:
     """All reports from ``trials`` independent instances of one suite."""

@@ -136,6 +136,9 @@ class TestZeroOneBand:
         r = risk_band_from_values(0.2, 2e-4)
         assert r.bound_lo == pytest.approx(0.186, abs=5e-4)
         assert r.bound_hi == pytest.approx(0.21, abs=5e-4)
+        for js in (-1e-3, math.nan):
+            with pytest.raises(BoundInputError, match="negative divergence"):
+                risk_band_from_values(0.2, js)
 
     def test_equal_joints_collapse(self):
         rng = np.random.default_rng(5)
@@ -288,10 +291,23 @@ class TestIntrinsicError:
     def test_one_sided_support_is_an_error(self):
         s = JointPmf((0, 1), (0, 1), np.array([[0.5, 0.5], [0.0, 0.0]]))
         t = JointPmf((0, 1), (0, 1), np.array([[0.25, 0.25], [0.25, 0.25]]))
-        with pytest.raises(BoundInputError, match="missing conditional"):
-            intrinsic_error_upper_bound(s, t)
-        with pytest.raises(BoundInputError, match="missing conditional"):
-            decomposed_upper_bound(s, t, LossTable(np.zeros((2, 2))), axis="x")
+        zero_one = LossTable(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for a, b in ((s, t), (t, s)):
+            with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
+                intrinsic_error_upper_bound(a, b)
+            with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
+                decomposed_upper_bound(a, b, LossTable(np.zeros((2, 2))), axis="x")
+            with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
+                conditional_shift_lower_bound(a, b)
+        # the label axis: class 1 has mass in t only
+        s_y = JointPmf((0, 1), (0, 1), np.array([[0.5, 0.0], [0.5, 0.0]]))
+        with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
+            decomposed_upper_bound(s_y, t, LossTable(np.zeros((2, 2))), axis="y")
+        with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
+            matched_conditional_band(s_y, t, zero_one)
+        # a label with no mass in either joint still has no class conditional
+        with pytest.raises(BoundInputError, match="missing class conditional for label 1"):
+            matched_conditional_band(s_y, s_y, zero_one)
 
 
 class TestOpenSet:
@@ -311,6 +327,10 @@ class TestOpenSet:
             open_set_band(0.3, alpha=0.0, delta=0.0)
         with pytest.raises(BoundInputError):
             open_set_band(0.3, alpha=1.2, delta=0.0)
+        with pytest.raises(BoundInputError, match="alpha"):
+            open_set_band(0.3, alpha=math.nan, delta=0.0)
+        with pytest.raises(BoundInputError, match="delta must be >= 0"):
+            open_set_band(0.3, alpha=0.5, delta=math.nan)
 
     def test_label_pair_js_stays_below_one_minus_alpha(self):
         for n, alpha in ((10, 0.5), (8, 0.25), (12, 0.75)):
@@ -437,6 +457,9 @@ class TestConditionalShiftLowerBound:
     def test_floor_formula(self):
         assert label_conditional_floor(0.09, 0.0) == pytest.approx(0.18, abs=1e-12)
         assert label_conditional_floor(0.01, 0.04) == 0.0
+        for args in ((math.nan, 0.1), (0.1, math.nan), (-1e-3, 0.1)):
+            with pytest.raises(BoundInputError, match="nonnegative"):
+                label_conditional_floor(*args)
 
     def test_randomized_suite_clean(self):
         assert not violations(run_suite("conditional-shift-floor", 500, seed=22))

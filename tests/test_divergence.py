@@ -11,6 +11,7 @@ from jsda import (
     Pmf,
     conditionals,
     divergence,
+    entropy,
     h_divergence_1d,
     half_total_variation,
     js_distance,
@@ -20,7 +21,8 @@ from jsda import (
     pushforward,
     total_variation,
 )
-from jsda.divergence import _conditional_js, _js
+from jsda.bounds import BoundInputError, _conditional_terms
+from jsda.divergence import _js
 
 
 def random_pmf(rng, n=None):
@@ -113,6 +115,14 @@ class TestDivergenceValues:
         assert divergence("KL", s, m, "2").value == pytest.approx(0.02110, abs=5e-5)
         assert divergence("KL", t, m, "2").value == pytest.approx(0.02032, abs=5e-5)
         assert js_divergence(t, s, "2") == pytest.approx(0.0207, abs=5e-4)
+
+    def test_unsupported_base_is_an_error(self):
+        p = Pmf((0, 1), np.array([0.25, 0.75]))
+        for base in ("10", 2, math.e):
+            with pytest.raises(DistributionError, match="unsupported log base"):
+                divergence("JS", p, p, base)
+            with pytest.raises(DistributionError, match="unsupported log base"):
+                entropy(p, base)
 
     def test_one_pass_js_equals_two_pass_reference(self):
         rng = np.random.default_rng(41)
@@ -227,15 +237,22 @@ class TestConditionalFamily:
             nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 5))
             s, t = random_sparse_joint(rng, nx, ny), random_sparse_joint(rng, nx, ny)
             for axis in ("y|x", "x|y"):
-                (atoms, s_w, _), (_, t_w, _), family = _conditional_js(s, t, axis)
-                s_cond, t_cond = conditionals(s, axis), conditionals(t, axis)
                 dim = 1 if axis == "y|x" else 0
-                assert atoms == (s.x_atoms if dim else s.y_atoms)
+                s_live, t_live = s.mass.sum(axis=dim) > 0, t.mass.sum(axis=dim) > 0
+                if (s_live != t_live).any():
+                    with pytest.raises(BoundInputError, match="missing conditional"):
+                        _conditional_terms(s, t, axis)
+                    continue
+                (s_w, _), (t_w, _), js = _conditional_terms(s, t, axis)
                 assert np.array_equal(s_w, s.mass.sum(axis=dim))
                 assert np.array_equal(t_w, t.mass.sum(axis=dim))
-                assert set(family) == set(s_cond) & set(t_cond)
-                for a, value in family.items():
-                    assert value == js_divergence(s_cond[a], t_cond[a])
+                s_cond, t_cond = conditionals(s, axis), conditionals(t, axis)
+                atoms = s.x_atoms if dim else s.y_atoms
+                for a, live, value in zip(atoms, s_live, js.tolist()):
+                    if live:
+                        assert value == js_divergence(s_cond[a], t_cond[a])
+                    else:
+                        assert a not in s_cond and a not in t_cond and value == 0.0
 
     def test_same_support_fast_path_keeps_coordinate_check(self):
         p = Pmf((0, 1), np.array([0.5, 0.5]), coords=(0.0, 1.0))
