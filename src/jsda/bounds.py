@@ -12,6 +12,16 @@ conditional families from one core, ``_conditional_terms``, which holds the
 rules they share: identical supports, and a ``BoundInputError`` for an atom
 with mass under only one joint (it has no conditional to compare).
 
+Verifiers run on the same pair share its exact terms through one private
+store, ``_pair_terms(s, t)``: the joint JS, both axes' conditional families
+with their marginal JS and summed conditional JS, and each joint's H(Y|X).
+Reuse follows three rules. The store is keyed on the identity (``is``) of the
+two joints, which are frozen and read-only, so a term cannot go stale; it
+holds only the last pair, so nothing accumulates; and it keeps only terms
+that were computed without an error, so a raising call raises again. A term
+of (t, s) is never taken for the term of (s, t). Threads that share the store
+can at worst compute a term twice.
+
 A caution on the intrinsic-error transfer bound: the inequality as
 implemented is not universally valid. Near deterministic conditionals the
 entropy gap can exceed sqrt(delta2/2) (e.g. S(y|x)=(1,0) vs T(y|x)=(0.9,0.1)
@@ -126,12 +136,17 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
             f"tail range g={tail.g} smaller than actual loss range {l.range_g}")
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
-    js = js_divergence(s, t, "e")
+    js = _pair_terms(s, t).joint_js()
     hi = r_s + _gap_term(tail, js)
     return BoundReport(
         name=f"joint_upper_{tail.variant}", lhs=r_t, bound_hi=hi,
         inputs_digest=_joint_digest(s, t, l.range_g),
         extras={"source_risk": r_s, "joint_js_nats": js})
+
+
+def _check_risk(value: float, what: str) -> None:
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise BoundInputError(f"{what} must be finite and >= 0")
 
 
 def _band_limits(r_s: float, width: float) -> tuple[float, float]:
@@ -149,7 +164,7 @@ def zero_one_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundReport:
         raise BoundInputError("the risk band requires zero-one loss")
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
-    js = js_divergence(s, t, "e")
+    js = _pair_terms(s, t).joint_js()
     lo, hi = _band_limits(r_s, math.sqrt(js))
     return BoundReport(
         name="zero_one_band", lhs=r_t, bound_lo=lo, bound_hi=hi,
@@ -161,6 +176,7 @@ def risk_band_from_values(r_s: float, js_nats: float) -> BoundReport:
     """The zero-one band evaluated from already-known (R_S, JS) values."""
     if not js_nats >= 0:
         raise BoundInputError("negative divergence")
+    _check_risk(r_s, "source risk")
     lo, hi = _band_limits(r_s, math.sqrt(js_nats))
     return BoundReport(
         name="zero_one_band", lhs=r_s, bound_lo=lo, bound_hi=hi,
@@ -178,21 +194,77 @@ def _conditional_terms(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
     if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
         raise BoundInputError("conditional terms require identical supports")
     (atoms, s_w, s_rows), (_, t_w, t_rows) = conditional_rows(s, axis), conditional_rows(t, axis)
-    js = np.zeros(len(atoms))
-    for k in np.flatnonzero((s_w > 0) & (t_w > 0)):
-        js[k] = _js_nats(s_rows[k], t_rows[k])
+    both = ((s_w > 0) & (t_w > 0)).tolist()
+    js = np.array([_js_nats(p, q) if live else 0.0
+                   for p, q, live in zip(s_rows.tolist(), t_rows.tolist(), both)])
     one_sided = np.flatnonzero((s_w > 0) != (t_w > 0))
     if one_sided.size:
         raise BoundInputError(f"missing conditional at atom {atoms[one_sided[0]]!r}")
+    for a in (s_w, s_rows, t_w, t_rows, js):
+        a.setflags(write=False)
     return (s_w, s_rows), (t_w, t_rows), js
 
 
-def _conditional_shift_terms(s: JointPmf, t: JointPmf,
-                             axis: MarginalAxis) -> tuple[float, float]:
-    """(marginal JS, summed expected conditional JS) along one axis, nats."""
-    (s_marg, _), (t_marg, _), js = _conditional_terms(s, t, "y|x" if axis == "x" else "x|y")
-    marg_js = _js_nats(s_marg / s_marg.sum(), t_marg / t_marg.sum())
-    return marg_js, math.fsum((t_marg * js).tolist()) + math.fsum((s_marg * js).tolist())
+_CONDITIONING = {"x": "y|x", "y": "x|y"}
+
+
+class _PairTerms:
+    """The exact terms of one (s, t) joint pair, each computed on first use.
+
+    A term is stored only once it has been computed, so one that raises
+    raises again on every call. Its arrays are read-only.
+    """
+
+    def __init__(self, s: JointPmf, t: JointPmf) -> None:
+        self.s, self.t = s, t
+        self._terms: dict = {}
+
+    def _term(self, key, compute):
+        if key not in self._terms:
+            self._terms[key] = compute()
+        return self._terms[key]
+
+    def joint_js(self) -> float:
+        """``js_divergence(s, t, "e")``."""
+        return self._term("joint_js", lambda: js_divergence(self.s, self.t, "e"))
+
+    def conditional(self, axis: Axis) -> tuple:
+        """``_conditional_terms(s, t, axis)``."""
+        return self._term(("conditional", axis),
+                          lambda: _conditional_terms(self.s, self.t, axis))
+
+    def marginal_js(self, axis: MarginalAxis) -> float:
+        """JS in nats of the two joints' marginals over X (axis "x") or Y."""
+        def compute():
+            (s_marg, _), (t_marg, _), _ = self.conditional(_CONDITIONING[axis])
+            return _js_nats((s_marg / s_marg.sum()).tolist(), (t_marg / t_marg.sum()).tolist())
+        return self._term(("marginal_js", axis), compute)
+
+    def conditional_shift(self, axis: MarginalAxis) -> float:
+        """Summed expected conditional JS along one axis, in nats."""
+        def compute():
+            (s_marg, _), (t_marg, _), js = self.conditional(_CONDITIONING[axis])
+            return math.fsum((t_marg * js).tolist()) + math.fsum((s_marg * js).tolist())
+        return self._term(("conditional_shift", axis), compute)
+
+    def conditional_entropy(self, side: Literal["s", "t"]) -> float:
+        """H(Y|X) in nats of joint s or t."""
+        def compute():
+            s_side, t_side, _ = self.conditional("y|x")
+            return _conditional_entropy(*(s_side if side == "s" else t_side))
+        return self._term(("entropy", side), compute)
+
+
+_last_pair: _PairTerms | None = None
+
+
+def _pair_terms(s: JointPmf, t: JointPmf) -> _PairTerms:
+    """The term store of the pair (s, t): the last one if it is the same pair."""
+    global _last_pair
+    terms = _last_pair
+    if terms is None or terms.s is not s or terms.t is not t:
+        terms = _last_pair = _PairTerms(s, t)
+    return terms
 
 
 def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
@@ -209,10 +281,11 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     """
     if tail is None:
         tail = TailParams("bounded", g=l.range_g)
-    marg_js, cond_js = _conditional_shift_terms(s, t, axis)
+    terms = _pair_terms(s, t)
+    marg_js, cond_js = terms.marginal_js(axis), terms.conditional_shift(axis)
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
-    joint_js = js_divergence(s, t, "e")
+    joint_js = terms.joint_js()
     gap = _gap_term(tail, marg_js) + _gap_term(tail, cond_js)
     decomposition_slack = marg_js + cond_js - joint_js
     return BoundReport(
@@ -234,11 +307,11 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     This inequality can genuinely fail near deterministic conditionals; the
     report then says so.
     """
-    (s_x, s_probs), (t_x, t_probs), js = _conditional_terms(s, t, "y|x")
-    delta2 = float(js.max())
-    delta1 = _js_nats(s_x / s_x.sum(), t_x / t_x.sum())
-    eps = _conditional_entropy(s_x, s_probs)
-    lhs = _conditional_entropy(t_x, t_probs)
+    terms = _pair_terms(s, t)
+    delta2 = float(terms.conditional("y|x")[2].max())
+    delta1 = terms.marginal_js("x")
+    eps = terms.conditional_entropy("s")
+    lhs = terms.conditional_entropy("t")
     n_labels = len(s.y_atoms)
     hi = eps + math.sqrt(delta2 / 2.0) + math.sqrt(delta1) / 2.0 * math.log(n_labels)
     ln2 = math.log(2.0)
@@ -266,6 +339,9 @@ def open_set_band(r_s: float, alpha: float, delta: float,
         raise BoundInputError("overlap fraction alpha must lie in (0, 1]")
     if not delta >= 0.0:
         raise BoundInputError("conditional-shift level delta must be >= 0")
+    _check_risk(r_s, "source risk")
+    if r_t is not None:
+        _check_risk(r_t, "target risk")
     width = math.sqrt(1.0 - alpha) + 2.0 * math.sqrt(delta)
     lo, hi = _band_limits(r_s, width)
     return BoundReport(
@@ -306,7 +382,7 @@ def matched_conditional_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundRep
         raise BoundInputError("matched-conditional band requires |Y| = 2")
     if not l.is_zero_one:
         raise BoundInputError("matched-conditional band requires zero-one loss")
-    (s_w, _), _, js = _conditional_terms(s, t, "x|y")
+    (s_w, _), _, js = _pair_terms(s, t).conditional("x|y")
     for y, w, gap in zip(s.y_atoms, s_w.tolist(), js.tolist()):
         if w <= 0.0:
             raise BoundInputError(f"missing class conditional for label {y!r}")
@@ -367,7 +443,8 @@ def conditional_shift_lower_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     the floor is :func:`label_conditional_floor` of the label-marginal and
     feature-marginal divergences.
     """
-    marg_js, cond_sum = _conditional_shift_terms(s, t, "x")
+    terms = _pair_terms(s, t)
+    marg_js, cond_sum = terms.marginal_js("x"), terms.conditional_shift("x")
     _, s_y = marginals(s)
     _, t_y = marginals(t)
     label_js = js_divergence(t_y, s_y, "e")

@@ -4,7 +4,9 @@ Everything here is double precision and deliberately boring: probability
 vectors that must sum to one within 1e-12, joint grids over X x Y, and loss
 tables with a recorded range. All types are frozen dataclasses whose arrays
 are locked read-only, so instances can be shared freely across threads; every
-operation is a pure function.
+operation here is a pure function. Since a joint never changes, ``jsda.bounds``
+reuses the exact terms of a pair of joints, keyed on their identity, for as
+long as that pair is the last one it saw, and stores only successful results.
 
 Conventions used throughout the package:
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Literal, Sequence
 
 import numpy as np
@@ -47,8 +50,8 @@ def _log_with_base(base: LogBase) -> float:
     raise DistributionError(f"unsupported log base {base!r}; use 'e' or '2'")
 
 
-def _check_total(values: np.ndarray, what: str = "probabilities sum") -> None:
-    total = math.fsum(values.ravel().tolist())
+def _check_total(values: list[float], what: str = "probabilities sum") -> None:
+    total = math.fsum(values)
     if not abs(total - 1.0) <= VALIDITY_TOL:  # NaN fails too
         raise DistributionError(f"{what} to {total!r}, not 1")
 
@@ -81,7 +84,7 @@ class Pmf:
             raise DistributionError("support atoms must be unique")
         if (self.probs < 0).any():
             raise DistributionError("negative probability mass")
-        _check_total(self.probs)
+        _check_total(self.probs.tolist())
         if self.coords is not None:
             coords = tuple(float(c) for c in self.coords)
             if len(coords) != len(self.atoms):
@@ -137,7 +140,7 @@ class JointPmf:
             raise DistributionError("support atoms must be unique")
         if (self.mass < 0).any():
             raise DistributionError("negative joint mass")
-        _check_total(self.mass, "joint mass sums")
+        _check_total(self.mass.ravel().tolist(), "joint mass sums")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -205,7 +208,7 @@ def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.nda
         raise DistributionError(f"unknown conditioning axis {axis!r}")
     live = weights > 0
     normed = rows / np.where(live, weights, 1.0)[:, None]
-    for row in normed[live]:
+    for row in compress(normed.tolist(), live.tolist()):
         _check_total(row)
     return atoms, weights, normed
 
@@ -238,8 +241,11 @@ def expected_risk(j: JointPmf, l: LossTable) -> float:
 def entropy(p: Pmf | np.ndarray, base: LogBase = "e") -> float:
     """Shannon entropy with the 0*log0 = 0 convention."""
     probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
-    h = math.fsum(-v * math.log(v) for v in probs.tolist() if v > 0.0)
-    return h / _log_with_base(base)
+    return _entropy_nats(probs.tolist()) / _log_with_base(base)
+
+
+def _entropy_nats(probs: list[float]) -> float:
+    return math.fsum([-v * math.log(v) for v in probs if v > 0.0])
 
 
 def entropy_stats(j: JointPmf, base: LogBase = "e") -> tuple[float, float]:
@@ -255,7 +261,8 @@ def entropy_stats(j: JointPmf, base: LogBase = "e") -> tuple[float, float]:
 
 def _conditional_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
     """H(Y|X) in nats from the weights and rows of ``conditional_rows(j, "y|x")``."""
-    return math.fsum(w * entropy(row) for w, row in zip(weights, rows) if w > 0)
+    return math.fsum([w * _entropy_nats(row)
+                      for w, row in zip(weights.tolist(), rows.tolist()) if w > 0])
 
 
 def mixture(p: Pmf, q: Pmf) -> Pmf:

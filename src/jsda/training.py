@@ -186,17 +186,6 @@ def predict_labels(m: ModelParams, xs: np.ndarray) -> np.ndarray:
     return np.argmax(class_logits(m, z), axis=1)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     pos = u >= 0
@@ -254,10 +243,12 @@ def loss_and_gradients(
 
     # term I: reweighted cross-entropy on the source batch
     logits = class_logits(m, z_s)
-    log_p = _log_softmax(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
     alpha = w.alpha[src.ys]
-    t1 = float(-np.mean(alpha * log_p[np.arange(ns), src.ys]))
-    dlogits = _softmax(logits)
+    t1 = float(-np.mean(alpha * (shifted - np.log(total))[np.arange(ns), src.ys]))
+    dlogits = e / total  # the softmax
     dlogits[np.arange(ns), src.ys] -= 1.0
     dlogits *= (lam_source * alpha / ns)[:, None]
     dz_s += dlogits @ m.wh
@@ -292,7 +283,8 @@ def loss_and_gradients(
     u = z @ m.wd + m.bd[0]
     u_s, u_t = u[:ns], u[ns:]
     radv = float(-np.mean(_softplus(-u_s)) - np.mean(_softplus(u_t)))
-    coef = lam0 * np.concatenate(((1.0 - _sigmoid(u_s)) / ns, -_sigmoid(u_t) / nt))
+    sig = _sigmoid(u)
+    coef = lam0 * np.concatenate(((1.0 - sig[:ns]) / ns, -sig[ns:] / nt))
     dz += coef[:, None] * m.wd
 
     da = (dz @ m.w2) * (1.0 - a * a)

@@ -6,6 +6,8 @@ pinned minimal counterexamples for the printed constants that are not
 (the reports must say holds=False there; that is the honest verdict).
 """
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -31,7 +33,8 @@ from jsda import (
     risk_band_from_values,
     zero_one_band,
 )
-from jsda.bounds import BoundInputError
+from jsda.bounds import BoundInputError, _pair_terms
+from jsda.scenarios import discretize, make_scenario, midpoint_classifier
 from jsda.suites import random_joint, random_joint_pair, run_suite, violations
 
 LN2 = math.log(2.0)
@@ -139,6 +142,9 @@ class TestZeroOneBand:
         for js in (-1e-3, math.nan):
             with pytest.raises(BoundInputError, match="negative divergence"):
                 risk_band_from_values(0.2, js)
+        for r_s in (math.nan, -0.1, math.inf):
+            with pytest.raises(BoundInputError, match="source risk must be finite and >= 0"):
+                risk_band_from_values(r_s, 0.1)
 
     def test_equal_joints_collapse(self):
         rng = np.random.default_rng(5)
@@ -332,6 +338,13 @@ class TestOpenSet:
         with pytest.raises(BoundInputError, match="delta must be >= 0"):
             open_set_band(0.3, alpha=0.5, delta=math.nan)
 
+    def test_non_finite_or_negative_risk(self):
+        for bad in (math.nan, -0.1, math.inf):
+            with pytest.raises(BoundInputError, match="source risk must be finite and >= 0"):
+                open_set_band(bad, alpha=0.5, delta=0.0)
+            with pytest.raises(BoundInputError, match="target risk must be finite and >= 0"):
+                open_set_band(0.3, alpha=0.5, delta=0.0, r_t=bad)
+
     def test_label_pair_js_stays_below_one_minus_alpha(self):
         for n, alpha in ((10, 0.5), (8, 0.25), (12, 0.75)):
             s_y, t_y, js = open_set_label_pair(n, alpha)
@@ -497,3 +510,120 @@ def test_suites_are_deterministic():
     a = run_suite("pinsker", 50, seed=42)
     b = run_suite("pinsker", 50, seed=42)
     assert [(r.lhs, r.bound_hi) for r in a] == [(r.lhs, r.bound_hi) for r in b]
+
+
+def _grid_pair(kind, grid=24):
+    """One discretized pair of a binary scenario and the midpoint zero-one loss."""
+    if kind == "open-set":
+        sc = make_scenario(kind, n=1, alpha=0.5)
+    elif kind == "cofeature":
+        sc = make_scenario(kind, source_label_marginal=(0.6, 0.4), feature_shift=(0.8, -0.3))
+    else:
+        sc = make_scenario(kind, source_label_marginal=(0.5, 0.5),
+                           target_label_marginal=(0.8, 0.2), rotation_deg=35.0)
+    s, t = discretize(sc, "source", grid), discretize(sc, "target", grid)
+    w, b = midpoint_classifier(sc)
+    predict_one = np.asarray(s.x_atoms) @ w + b > 0
+    return s, t, LossTable(np.stack([predict_one, ~predict_one], axis=1).astype(float))
+
+
+def _grid_verifiers(s, t, l):
+    """The seven pair verifiers of a grid analysis, as zero-argument calls."""
+    return (lambda: joint_upper_bound(s, t, l),
+            lambda: zero_one_band(s, t, l),
+            lambda: decomposed_upper_bound(s, t, l, axis="x"),
+            lambda: decomposed_upper_bound(s, t, l, axis="y"),
+            lambda: intrinsic_error_upper_bound(s, t),
+            lambda: conditional_shift_lower_bound(s, t),
+            lambda: matched_conditional_band(s, t, l))
+
+
+def _outcome(call):
+    """Every field of the report (floats by repr), or the error's type and message."""
+    try:
+        r = call()
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+    return repr(tuple((f.name, getattr(r, f.name)) for f in dataclasses.fields(r)))
+
+
+def test_grid_analysis_digest_pinned():
+    """All seven verifiers on one 24² pair of each scenario kind, pinned bit for bit."""
+    h = hashlib.sha256()
+    for kind in ("label-shift", "conditional-shift", "cofeature", "open-set"):
+        for call in _grid_verifiers(*_grid_pair(kind)):
+            h.update(_outcome(call).encode() + b"\n")
+    assert h.hexdigest() == (
+        "7949a4b2681860a7b9d2682ea0cbb656e7d28fae910e1f1c2485482697404bf5")
+
+
+def _sparse_joint(rng, nx, ny):
+    """A joint with zero cells and, often, an all-zero row or column."""
+    mass = rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.7)
+    if rng.random() < 0.4:
+        mass[int(rng.integers(nx)), :] = 0.0
+    if rng.random() < 0.3:
+        mass[:, int(rng.integers(ny))] = 0.0
+    mass[int(rng.integers(nx)), int(rng.integers(ny))] += 0.1
+    return JointPmf(tuple(range(nx)), tuple(range(ny)), mass / math.fsum(mass.ravel().tolist()))
+
+
+def _copy(j):
+    return JointPmf.from_json(j.to_json())
+
+
+class TestPairTerms:
+    """The per-pair term store behind the grid verifiers."""
+
+    def test_interleaved_pairs_match_fresh_copies(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            nx, ny = int(rng.integers(1, 6)), int(rng.integers(2, 4))
+            s, t = _sparse_joint(rng, nx, ny), _sparse_joint(rng, nx, ny)
+            shifted = s.mass * rng.uniform(0.2, 1.0, ny)  # a label shift of s
+            t2 = JointPmf(s.x_atoms, s.y_atoms, shifted / math.fsum(shifted.ravel().tolist()))
+            l = uniform_loss(s.shape, rng, zero_one=bool(rng.integers(2)))
+            pairs = ((s, t), (s, t2), (t, s))
+            expected = [[_outcome(call) for call in _grid_verifiers(_copy(a), _copy(b), l)]
+                        for a, b in pairs]
+            calls = [_grid_verifiers(a, b, l) for a, b in pairs]
+            for k in range(len(calls[0])):  # every verifier, round-robin over the pairs
+                for p in (0, 1, 0, 2, 2, 1):
+                    assert _outcome(calls[p][k]) == expected[p][k]
+            for p in (2, 0, 1):  # each pair's verifiers in reverse order
+                for k in reversed(range(len(calls[p]))):
+                    assert _outcome(calls[p][k]) == expected[p][k]
+
+    def test_raising_pair_is_not_stored(self):
+        s = JointPmf((0, 1), (0, 1), np.array([[0.5, 0.5], [0.0, 0.0]]))
+        t = JointPmf((0, 1), (0, 1), np.array([[0.25, 0.25], [0.25, 0.25]]))
+        for _ in range(2):
+            with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
+                intrinsic_error_upper_bound(s, t)
+        # the same pair's joint JS is still computed, and a valid pair follows cleanly
+        assert joint_upper_bound(s, t, uniform_loss(s.shape)) == joint_upper_bound(
+            _copy(s), _copy(t), uniform_loss(s.shape))
+        t2 = JointPmf((0, 1), (0, 1), np.array([[0.1, 0.2], [0.3, 0.4]]))
+        assert intrinsic_error_upper_bound(t, t2) == intrinsic_error_upper_bound(
+            _copy(t), _copy(t2))
+        with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
+            intrinsic_error_upper_bound(s, t)
+
+    def test_one_slot_keyed_on_identity(self):
+        rng = np.random.default_rng(32)
+        s, t = random_joint_pair(rng)
+        terms = _pair_terms(s, t)
+        assert _pair_terms(s, t) is terms
+        assert _pair_terms(_copy(s), t) is not terms
+        assert _pair_terms(s, t) is not terms  # the copy's store took the slot
+
+    def test_stored_arrays_are_read_only(self):
+        rng = np.random.default_rng(33)
+        s, t = random_joint_pair(rng)
+        terms = _pair_terms(s, t)
+        for axis in ("y|x", "x|y"):
+            (s_w, s_rows), (t_w, t_rows), js = terms.conditional(axis)
+            for a in (s_w, s_rows, t_w, t_rows, js):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0.5

@@ -17,6 +17,7 @@ from jsda import (
     marginals,
     mixture,
 )
+from jsda.pmf import _conditional_entropy, conditional_rows
 
 
 def random_joint(rng, nx=None, ny=None):
@@ -221,6 +222,71 @@ class TestEntropy:
             h_y, h_y_given_x = entropy_stats(j)
             assert h_y_given_x <= h_y + 1e-12
             assert h_y <= math.log(len(j.y_atoms)) + 1e-12
+
+
+def _per_row_conditional_rows(j, axis):
+    """The per-row loop the one-pass ``conditional_rows`` replaced, kept as its oracle."""
+    weights, rows = (j.mass.sum(axis=1), j.mass) if axis == "y|x" else (j.mass.sum(axis=0), j.mass.T)
+    live = weights > 0
+    normed = rows / np.where(live, weights, 1.0)[:, None]
+    for row in normed[live]:
+        total = math.fsum(row.ravel().tolist())
+        if not abs(total - 1.0) <= 1e-12:
+            raise DistributionError(f"probabilities sum to {total!r}, not 1")
+    return weights, normed
+
+
+def _per_row_entropy(row):
+    """``entropy(row)`` as it was when ``_conditional_entropy`` called it once per row."""
+    return math.fsum(-v * math.log(v) for v in np.asarray(row, dtype=float).tolist() if v > 0.0)
+
+
+def _unvalidated_joint(mass):
+    """A JointPmf built around its checks, to reach the row-sum check with bad rows."""
+    j = object.__new__(JointPmf)
+    j.__dict__.update(x_atoms=tuple(range(mass.shape[0])), y_atoms=tuple(range(mass.shape[1])),
+                      mass=mass)
+    return j
+
+
+class TestRowKernels:
+    """The one-pass row kernels are bit-identical to the per-row loops they replaced."""
+
+    @staticmethod
+    def _joints(rng, n=300):
+        for _ in range(n):
+            nx, ny = int(rng.integers(1, 30)), int(rng.integers(2, 13))
+            mass = rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.6)
+            mass[rng.random(nx) < 0.3] = 0.0  # zero rows
+            mass[int(rng.integers(nx)), int(rng.integers(ny))] += 0.1
+            yield JointPmf(tuple(range(nx)), tuple(range(ny)),
+                           mass / math.fsum(mass.ravel().tolist()))
+
+    def test_conditional_entropy_equals_per_row_entropy(self):
+        for j in self._joints(np.random.default_rng(61)):
+            _, weights, rows = conditional_rows(j, "y|x")
+            oracle = math.fsum(w * _per_row_entropy(row) for w, row in zip(weights, rows) if w > 0)
+            assert _conditional_entropy(weights, rows) == oracle
+
+    def test_row_sum_check_equals_per_row_check(self):
+        for j in self._joints(np.random.default_rng(62)):
+            for axis in ("y|x", "x|y"):
+                _, weights, rows = conditional_rows(j, axis)
+                want_w, want_rows = _per_row_conditional_rows(j, axis)
+                assert np.array_equal(weights, want_w) and np.array_equal(rows, want_rows)
+
+    def test_bad_row_sum_raises_the_same_message(self):
+        # y|x row 1 sums to nan, row 0 to 0.0, row 2 to nan
+        for mass in (np.array([[0.5, 0.5], [np.inf, 1.0]]),
+                     np.array([[1e308, 1e308], [0.2, 0.3]]),
+                     np.array([[0.0, 0.0], [0.2, 0.3], [np.inf, 0.0]])):
+            j = _unvalidated_joint(mass)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DistributionError) as want:
+                    _per_row_conditional_rows(j, "y|x")
+                with pytest.raises(DistributionError) as got:
+                    conditional_rows(j, "y|x")
+            assert str(got.value) == str(want.value)
 
 
 class TestMixture:
