@@ -12,15 +12,11 @@ conditional families from one core, ``_conditional_terms``, which holds the
 rules they share: identical supports, and a ``BoundInputError`` for an atom
 with mass under only one joint (it has no conditional to compare).
 
-Verifiers run on the same pair share its exact terms through one private
-store, ``_pair_terms(s, t)``: the joint JS, both axes' conditional families
-with their marginal JS and summed conditional JS, and each joint's H(Y|X).
-Reuse follows three rules. The store is keyed on the identity (``is``) of the
-two joints, which are frozen and read-only, so a term cannot go stale; it
-holds only the last pair, so nothing accumulates; and it keeps only terms
-that were computed without an error, so a raising call raises again. A term
-of (t, s) is never taken for the term of (s, t). Threads that share the store
-can at worst compute a term twice.
+Verifiers run on the same pair share its joint JS, conditional families and
+marginal JS through ``functools.lru_cache``. The memos key on the ordered
+pair of joints, which compare by identity and are read-only, so a term of
+(t, s) is never taken for (s, t) and cannot go stale; they hold at most two
+entries, and a raising call is not cached, so it raises again.
 
 A caution on the intrinsic-error transfer bound: the inequality as
 implemented is not universally valid. Near deterministic conditionals the
@@ -34,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Literal, Mapping, Sequence
 
 import numpy as np
@@ -136,7 +133,7 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
             f"tail range g={tail.g} smaller than actual loss range {l.range_g}")
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
-    js = _pair_terms(s, t).joint_js()
+    js = _joint_js(s, t)
     hi = r_s + _gap_term(tail, js)
     return BoundReport(
         name=f"joint_upper_{tail.variant}", lhs=r_t, bound_hi=hi,
@@ -164,7 +161,7 @@ def zero_one_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundReport:
         raise BoundInputError("the risk band requires zero-one loss")
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
-    js = _pair_terms(s, t).joint_js()
+    js = _joint_js(s, t)
     lo, hi = _band_limits(r_s, math.sqrt(js))
     return BoundReport(
         name="zero_one_band", lhs=r_t, bound_lo=lo, bound_hi=hi,
@@ -183,6 +180,7 @@ def risk_band_from_values(r_s: float, js_nats: float) -> BoundReport:
         inputs_digest=f"R_S={r_s:.4g},JS={js_nats:.4g}")
 
 
+@lru_cache(maxsize=2)
 def _conditional_terms(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
     """((s weights, s rows), (t weights, t rows), per-atom JS in nats).
 
@@ -208,63 +206,23 @@ def _conditional_terms(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
 _CONDITIONING = {"x": "y|x", "y": "x|y"}
 
 
-class _PairTerms:
-    """The exact terms of one (s, t) joint pair, each computed on first use.
-
-    A term is stored only once it has been computed, so one that raises
-    raises again on every call. Its arrays are read-only.
-    """
-
-    def __init__(self, s: JointPmf, t: JointPmf) -> None:
-        self.s, self.t = s, t
-        self._terms: dict = {}
-
-    def _term(self, key, compute):
-        if key not in self._terms:
-            self._terms[key] = compute()
-        return self._terms[key]
-
-    def joint_js(self) -> float:
-        """``js_divergence(s, t, "e")``."""
-        return self._term("joint_js", lambda: js_divergence(self.s, self.t, "e"))
-
-    def conditional(self, axis: Axis) -> tuple:
-        """``_conditional_terms(s, t, axis)``."""
-        return self._term(("conditional", axis),
-                          lambda: _conditional_terms(self.s, self.t, axis))
-
-    def marginal_js(self, axis: MarginalAxis) -> float:
-        """JS in nats of the two joints' marginals over X (axis "x") or Y."""
-        def compute():
-            (s_marg, _), (t_marg, _), _ = self.conditional(_CONDITIONING[axis])
-            return _js_nats((s_marg / s_marg.sum()).tolist(), (t_marg / t_marg.sum()).tolist())
-        return self._term(("marginal_js", axis), compute)
-
-    def conditional_shift(self, axis: MarginalAxis) -> float:
-        """Summed expected conditional JS along one axis, in nats."""
-        def compute():
-            (s_marg, _), (t_marg, _), js = self.conditional(_CONDITIONING[axis])
-            return math.fsum((t_marg * js).tolist()) + math.fsum((s_marg * js).tolist())
-        return self._term(("conditional_shift", axis), compute)
-
-    def conditional_entropy(self, side: Literal["s", "t"]) -> float:
-        """H(Y|X) in nats of joint s or t."""
-        def compute():
-            s_side, t_side, _ = self.conditional("y|x")
-            return _conditional_entropy(*(s_side if side == "s" else t_side))
-        return self._term(("entropy", side), compute)
+@lru_cache(maxsize=1)
+def _joint_js(s: JointPmf, t: JointPmf) -> float:
+    """``js_divergence(s, t, "e")``."""
+    return js_divergence(s, t, "e")
 
 
-_last_pair: _PairTerms | None = None
+@lru_cache(maxsize=2)
+def _marginal_js(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
+    """JS in nats of the two joints' marginals over X (axis "x") or Y."""
+    (s_marg, _), (t_marg, _), _ = _conditional_terms(s, t, _CONDITIONING[axis])
+    return _js_nats((s_marg / s_marg.sum()).tolist(), (t_marg / t_marg.sum()).tolist())
 
 
-def _pair_terms(s: JointPmf, t: JointPmf) -> _PairTerms:
-    """The term store of the pair (s, t): the last one if it is the same pair."""
-    global _last_pair
-    terms = _last_pair
-    if terms is None or terms.s is not s or terms.t is not t:
-        terms = _last_pair = _PairTerms(s, t)
-    return terms
+def _conditional_shift(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
+    """Summed expected conditional JS along one axis, in nats."""
+    (s_marg, _), (t_marg, _), js = _conditional_terms(s, t, _CONDITIONING[axis])
+    return math.fsum((t_marg * js).tolist()) + math.fsum((s_marg * js).tolist())
 
 
 def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
@@ -281,11 +239,10 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     """
     if tail is None:
         tail = TailParams("bounded", g=l.range_g)
-    terms = _pair_terms(s, t)
-    marg_js, cond_js = terms.marginal_js(axis), terms.conditional_shift(axis)
+    marg_js, cond_js = _marginal_js(s, t, axis), _conditional_shift(s, t, axis)
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
-    joint_js = terms.joint_js()
+    joint_js = _joint_js(s, t)
     gap = _gap_term(tail, marg_js) + _gap_term(tail, cond_js)
     decomposition_slack = marg_js + cond_js - joint_js
     return BoundReport(
@@ -307,11 +264,11 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     This inequality can genuinely fail near deterministic conditionals; the
     report then says so.
     """
-    terms = _pair_terms(s, t)
-    delta2 = float(terms.conditional("y|x")[2].max())
-    delta1 = terms.marginal_js("x")
-    eps = terms.conditional_entropy("s")
-    lhs = terms.conditional_entropy("t")
+    s_side, t_side, js = _conditional_terms(s, t, "y|x")
+    delta2 = float(js.max())
+    delta1 = _marginal_js(s, t, "x")
+    eps = _conditional_entropy(*s_side)
+    lhs = _conditional_entropy(*t_side)
     n_labels = len(s.y_atoms)
     hi = eps + math.sqrt(delta2 / 2.0) + math.sqrt(delta1) / 2.0 * math.log(n_labels)
     ln2 = math.log(2.0)
@@ -382,7 +339,7 @@ def matched_conditional_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundRep
         raise BoundInputError("matched-conditional band requires |Y| = 2")
     if not l.is_zero_one:
         raise BoundInputError("matched-conditional band requires zero-one loss")
-    (s_w, _), _, js = _pair_terms(s, t).conditional("x|y")
+    (s_w, _), _, js = _conditional_terms(s, t, "x|y")
     for y, w, gap in zip(s.y_atoms, s_w.tolist(), js.tolist()):
         if w <= 0.0:
             raise BoundInputError(f"missing class conditional for label {y!r}")
@@ -443,8 +400,7 @@ def conditional_shift_lower_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     the floor is :func:`label_conditional_floor` of the label-marginal and
     feature-marginal divergences.
     """
-    terms = _pair_terms(s, t)
-    marg_js, cond_sum = terms.marginal_js("x"), terms.conditional_shift("x")
+    marg_js, cond_sum = _marginal_js(s, t, "x"), _conditional_shift(s, t, "x")
     _, s_y = marginals(s)
     _, t_y = marginals(t)
     label_js = js_divergence(t_y, s_y, "e")

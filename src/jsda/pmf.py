@@ -4,9 +4,8 @@ Everything here is double precision and deliberately boring: probability
 vectors that must sum to one within 1e-12, joint grids over X x Y, and loss
 tables with a recorded range. All types are frozen dataclasses whose arrays
 are locked read-only, so instances can be shared freely across threads; every
-operation here is a pure function. Since a joint never changes, ``jsda.bounds``
-reuses the exact terms of a pair of joints, keyed on their identity, for as
-long as that pair is the last one it saw, and stores only successful results.
+operation here is a pure function. A ``JointPmf`` compares and hashes by
+identity.
 
 Conventions used throughout the package:
 
@@ -118,7 +117,7 @@ class Pmf:
                    None if coords is None else tuple(coords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPmf:
     """Joint distribution over X x Y stored as a |X| x |Y| mass grid."""
 

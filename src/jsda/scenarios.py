@@ -60,6 +60,8 @@ class ShiftScenario:
         for name in ("source_means", "source_covs", "target_means", "target_covs",
                      "source_label_marginal", "target_label_marginal"):
             arr = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(arr).all():
+                raise ScenarioError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         k = self.n_classes
@@ -70,7 +72,7 @@ class ShiftScenario:
         if self.source_covs.shape != (k, 2, 2) or self.target_covs.shape != (k, 2, 2):
             raise ScenarioError("class covariances must be (n_classes, 2, 2)")
         for marg in (self.source_label_marginal, self.target_label_marginal):
-            if marg.shape != (k,) or np.any(marg < 0) or abs(marg.sum() - 1.0) > 1e-9:
+            if marg.shape != (k,) or np.any(marg < 0) or not abs(marg.sum() - 1.0) <= 1e-9:
                 raise ScenarioError("label marginals must be valid distributions")
         if self.overlap_alpha is not None:
             n = int(np.count_nonzero(self.source_label_marginal))

@@ -86,11 +86,16 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "principles", frozenset(self.principles))
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
+        if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate > 0:  # NaN fails too
             raise TrainingError("epochs, batch_size, learning_rate must be positive")
+        for name in ("n_source", "n_target", "hidden_width", "feature_width", "feature_bins"):
+            if not getattr(self, name) >= 1:
+                raise TrainingError(f"{name} must be at least 1")
+        if not 0.0 <= self.holdout_fraction < math.inf:
+            raise TrainingError("holdout_fraction must be finite and >= 0")
         if not self.principles or not self.principles <= set(PRINCIPLES):
             raise TrainingError("principles must be a nonempty subset of {I, II, III}")
-        if self.cond_multiplier <= 1.0:
+        if not self.cond_multiplier > 1.0:
             raise TrainingError("the conditional-loss multiplier must exceed 1")
         if not 0.0 <= self.centroid_momentum < 1.0:
             raise TrainingError("centroid momentum must lie in [0, 1)")

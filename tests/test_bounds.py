@@ -33,7 +33,9 @@ from jsda import (
     risk_band_from_values,
     zero_one_band,
 )
-from jsda.bounds import BoundInputError, _pair_terms
+from jsda.bounds import (BoundInputError, _conditional_terms, _joint_js,
+                         _marginal_js)
+from jsda.pmf import DistributionError
 from jsda.scenarios import discretize, make_scenario, midpoint_classifier
 from jsda.suites import random_joint, random_joint_pair, run_suite, violations
 
@@ -573,7 +575,7 @@ def _copy(j):
 
 
 class TestPairTerms:
-    """The per-pair term store behind the grid verifiers."""
+    """The memoized pair terms behind the grid verifiers."""
 
     def test_interleaved_pairs_match_fresh_copies(self):
         rng = np.random.default_rng(31)
@@ -609,21 +611,53 @@ class TestPairTerms:
         with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
             intrinsic_error_upper_bound(s, t)
 
-    def test_one_slot_keyed_on_identity(self):
+    def test_memo_keyed_on_identity(self):
         rng = np.random.default_rng(32)
         s, t = random_joint_pair(rng)
-        terms = _pair_terms(s, t)
-        assert _pair_terms(s, t) is terms
-        assert _pair_terms(_copy(s), t) is not terms
-        assert _pair_terms(s, t) is not terms  # the copy's store took the slot
+        s_copy = _copy(s)
+        assert s == s and s != s_copy and hash(s) != hash(s_copy)
+        for memo, args in ((_conditional_terms, ("y|x",)), (_joint_js, ()),
+                           (_marginal_js, ("x",))):
+            value = memo(s, t, *args)
+            info = memo.cache_info()
+            assert memo(s, t, *args) is value
+            assert memo.cache_info().hits == info.hits + 1
+            memo(s_copy, t, *args)  # equal contents, another joint: a miss
+            assert memo.cache_info().misses == info.misses + 1
+            memo(t, s, *args)  # the reversed pair is another key
+            assert memo.cache_info().misses == info.misses + 2
+            assert memo.cache_info().maxsize in (1, 2)
+            assert memo.cache_info().currsize <= memo.cache_info().maxsize
 
     def test_stored_arrays_are_read_only(self):
         rng = np.random.default_rng(33)
         s, t = random_joint_pair(rng)
-        terms = _pair_terms(s, t)
         for axis in ("y|x", "x|y"):
-            (s_w, s_rows), (t_w, t_rows), js = terms.conditional(axis)
+            (s_w, s_rows), (t_w, t_rows), js = _conditional_terms(s, t, axis)
             for a in (s_w, s_rows, t_w, t_rows, js):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a.flat[0] = 0.5
+
+    def test_support_mismatch_raises_every_time(self):
+        s = JointPmf((0, 1), (0, 1), np.array([[0.1, 0.2], [0.3, 0.4]]))
+        other = JointPmf((0, 2), (0, 1), np.array([[0.4, 0.3], [0.2, 0.1]]))
+        l = LossTable(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        conditional = (lambda: decomposed_upper_bound(s, other, l, axis="x"),
+                       lambda: decomposed_upper_bound(s, other, l, axis="y"),
+                       lambda: intrinsic_error_upper_bound(s, other),
+                       lambda: conditional_shift_lower_bound(s, other),
+                       lambda: matched_conditional_band(s, other, l))
+        for call in conditional:
+            for _ in range(2):
+                with pytest.raises(BoundInputError,
+                                   match="conditional terms require identical supports"):
+                    call()
+        for call in (lambda: js_divergence(s, other), lambda: joint_upper_bound(s, other, l)):
+            for _ in range(2):
+                with pytest.raises(DistributionError,
+                                   match="joint divergence requires identical supports"):
+                    call()
+        t = JointPmf((0, 1), (0, 1), np.array([[0.25, 0.25], [0.25, 0.25]]))
+        for call, fresh in zip(_grid_verifiers(s, t, l), _grid_verifiers(_copy(s), _copy(t), l)):
+            assert _outcome(call) == _outcome(fresh)

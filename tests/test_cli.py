@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -113,6 +114,15 @@ class TestScenarioCommands:
         assert "true_alpha" in out and "sup error" in out
 
 
+    def test_non_finite_scenario_is_runtime_error(self, scenario_file, tmp_path, capsys):
+        d = json.loads(scenario_file.read_text())
+        d["source_means"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(d))
+        assert dispatch(["scenario", "sample", "--scenario", str(bad), "--n", "5"]) == 1
+        assert dispatch(["label-shift", "--scenario", str(bad), "--n", "400"]) == 1
+        assert "source_means must be finite" in capsys.readouterr().err
+
 class TestTrainCommands:
     def test_train_and_ablate(self, scenario_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -133,6 +143,30 @@ class TestTrainCommands:
         assert rows[0] == "principles,mean_accuracy,std_accuracy,n_seeds"
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == ["III", "I+III", "I+II", "II+III", "I+II+III"]
+
+    def test_train_tracks_feature_shift(self, scenario_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 2, "n_source": 64, "n_target": 64,
+                                   "feature_width": 2, "track_feature_shift": True}))
+        trace = tmp_path / "trace.csv"
+        assert dispatch(["train", "--scenario", str(scenario_file),
+                         "--config", str(cfg), "--out", str(trace)]) == 0
+        header, *rows = [line.split(",") for line in trace.read_text().splitlines()]
+        assert header[-2:] == ["feature_js", "conditional_floor"] and len(rows) == 2
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row[-2:])
+
+    @pytest.mark.parametrize("fields", [{"n_source": 0}, {"learning_rate": float("nan")},
+                                        {"hidden_width": 0}])
+    def test_config_that_cannot_train_is_runtime_error(self, scenario_file, tmp_path,
+                                                       fields, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, **fields}))
+        out = tmp_path / "trace.csv"
+        assert dispatch(["train", "--scenario", str(scenario_file),
+                         "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_config_field_is_runtime_error(self, scenario_file, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,4 @@
-"""Smoke test: demos 01-04 run to completion as scripts.
+"""Smoke test: demos 01-04 run to completion as scripts, with warnings as errors.
 
 Demo 05 is left out because it is a full training run of about half a minute.
 """
@@ -22,6 +22,6 @@ DEMOS = (
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_zero(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -62,6 +62,23 @@ class TestConstruction:
         with pytest.raises(ScenarioError, match="unknown scenario kind"):
             make_scenario("covariate-drift")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["source_means", "source_covs", "target_means",
+                                      "target_covs"])
+    def test_non_finite_gaussians_rejected(self, name, bad):
+        d = make_scenario("label-shift").to_json_dict()
+        arr = np.array(d[name])
+        arr.flat[0] = bad
+        d[name] = arr.tolist()
+        with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+            ShiftScenario.from_json_dict(d)
+
+    @pytest.mark.parametrize("marginal", [(math.nan, math.nan), (math.nan, 1.0),
+                                          (math.inf, 0.0)])
+    def test_non_finite_label_marginal_rejected(self, marginal):
+        with pytest.raises(ScenarioError, match="target_label_marginal must be finite"):
+            make_scenario("label-shift", target_label_marginal=marginal)
+
     def test_json_round_trip(self, tmp_path):
         sc = make_scenario("conditional-shift", rotation_deg=45.0,
                            source_label_marginal=(0.3, 0.7), seed=9)

@@ -58,6 +58,16 @@ class TestConfigAndInit:
         with pytest.raises(TrainingError):
             TrainConfig(track_feature_shift=True, feature_width=4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", 0.0), ("learning_rate", -0.1),
+        ("cond_multiplier", math.nan), ("n_source", 0), ("n_target", 0),
+        ("hidden_width", 0), ("feature_width", 0), ("feature_bins", 0),
+        ("holdout_fraction", math.nan), ("holdout_fraction", -0.1),
+        ("holdout_fraction", math.inf)])
+    def test_config_that_cannot_train_is_rejected(self, field, value):
+        with pytest.raises(TrainingError):
+            TrainConfig(**{field: value})
+
     def test_init_deterministic(self):
         cfg = TrainConfig(seed=7)
         a = init_models(cfg)
