@@ -66,8 +66,8 @@ class Pmf:
     """Probability mass function over an ordered finite support.
 
     ``atoms`` are unique hashable identifiers; ``coords`` optionally attaches
-    a real coordinate to each atom (required by the 1-D threshold-classifier
-    divergence, ignored elsewhere).
+    a finite real coordinate to each atom (required by the 1-D
+    threshold-classifier divergence, ignored elsewhere).
     """
 
     atoms: tuple
@@ -88,6 +88,8 @@ class Pmf:
             coords = tuple(float(c) for c in self.coords)
             if len(coords) != len(self.atoms):
                 raise DistributionError("coords must align with atoms")
+            if not all(map(math.isfinite, coords)):
+                raise DistributionError("coords must be finite")
             object.__setattr__(self, "coords", coords)
 
     @classmethod

@@ -1,6 +1,9 @@
 """Divergence tests: pinned values, sweep oracle, metric/inequality properties."""
 
 import math
+from bisect import bisect_left
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from jsda import (
     total_variation,
 )
 from jsda.bounds import BoundInputError, _conditional_terms
-from jsda.divergence import _js
+from jsda.cases import counterexample1, interleaved_uniforms
+from jsda.divergence import _exact_prefix_sums, _js
 
 
 def random_pmf(rng, n=None):
@@ -31,14 +35,16 @@ def random_pmf(rng, n=None):
     return Pmf(tuple(range(n)), probs / math.fsum(probs.tolist()))
 
 
+def as_points(d):
+    """Coordinate -> merged mass, tied coordinates summed in first-seen order."""
+    pts = {}
+    for c, m in zip(d.coords, d.probs.tolist()):
+        pts[c] = pts.get(c, 0.0) + m
+    return pts
+
+
 def h_divergence_rescan(p, q):
     """Reference: fsum every atom below every threshold (O(n^2))."""
-    def as_points(d):
-        pts = {}
-        for c, m in zip(d.coords, d.probs.tolist()):
-            pts[c] = pts.get(c, 0.0) + m
-        return pts
-
     pp, qq = as_points(p), as_points(q)
     coords = sorted(set(pp) | set(qq))
     thresholds = [coords[0] - 1.0]
@@ -49,6 +55,28 @@ def h_divergence_rescan(p, q):
         p_below = math.fsum(m for c, m in pp.items() if c < t)
         q_below = math.fsum(m for c, m in qq.items() if c < t)
         err_a = 0.5 * (1.0 - p_below) + 0.5 * q_below
+        best = min(best, err_a, 1.0 - err_a)
+    return 1.0 - 2.0 * best
+
+
+def fraction_prefix_sums(masses):
+    """Reference: float() of each exact Fraction prefix sum."""
+    return [0.0, *map(float, accumulate(Fraction(m) for m in masses))]
+
+
+def h_divergence_fraction_sweep(p, q):
+    """Reference: the sorted sweep with Fraction prefix sums and a bisect per threshold."""
+    pp, qq = as_points(p), as_points(q)
+    coords = sorted(set(pp) | set(qq))
+    thresholds = [coords[0] - 1.0]
+    thresholds += [0.5 * (a + b) for a, b in zip(coords, coords[1:])]
+    thresholds += [coords[-1] + 1.0]
+    p_cum = fraction_prefix_sums([pp.get(c, 0.0) for c in coords])
+    q_cum = fraction_prefix_sums([qq.get(c, 0.0) for c in coords])
+    best = 0.5
+    for t in thresholds:
+        k = bisect_left(coords, t)
+        err_a = 0.5 * (1.0 - p_cum[k]) + 0.5 * q_cum[k]
         best = min(best, err_a, 1.0 - err_a)
     return 1.0 - 2.0 * best
 
@@ -228,6 +256,37 @@ class TestThresholdDivergence:
             p, q = random_points(rng, pool), random_points(rng, pool)
             assert h_divergence_1d(p, q) == h_divergence_rescan(p, q)
             assert h_divergence_1d(q, p) == h_divergence_rescan(q, p)
+
+    def test_exact_prefix_sums_equal_fraction_oracle(self):
+        rng = np.random.default_rng(23)
+        kinds = [
+            lambda n: np.zeros(n),
+            lambda n: rng.integers(0, 9, n) * 5e-324,  # subnormal multiples
+            lambda n: rng.random(n) * 2.0 ** -1000,
+            lambda n: rng.random(n) / n,
+        ]
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            picks = rng.integers(len(kinds), size=n)
+            masses = np.choose(picks, [kind(n) for kind in kinds]).tolist()
+            assert _exact_prefix_sums(masses).tolist() == fraction_prefix_sums(masses)
+        masses = (rng.random(4000) / 2000).tolist()
+        assert _exact_prefix_sums(masses).tolist() == fraction_prefix_sums(masses)
+
+    def test_interleaving_at_scale_equals_fraction_sweep(self):
+        # about 2,000 atoms per side; the rescan oracle is too slow at this size
+        for n in range(3990, 4011):
+            t, s = interleaved_uniforms(1.0 / n)
+            expected = {"js_base2": 1.0, "threshold_divergence": h_divergence_fraction_sweep(t, s)}
+            assert counterexample1(1.0 / n).computed == expected
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_separating_threshold_where_midpoint_sum_overflows(self, sign):
+        # 1e308 + 1.5e308 overflows, yet the float threshold 1.25e308 separates
+        p = Pmf(("a",), np.array([1.0]), coords=(sign * 1e308,))
+        q = Pmf(("b", "c"), np.array([0.5, 0.5]), coords=(sign * 1.5e308, sign * 1.7e308))
+        assert h_divergence_1d(p, q) == 1.0
+        assert h_divergence_1d(q, p) == 1.0
 
 
 class TestConditionalFamily:

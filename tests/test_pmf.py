@@ -45,6 +45,11 @@ class TestValidation:
         with pytest.raises(DistributionError, match="sum"):
             Pmf((0, 1), np.array([math.nan, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coords_rejected(self, bad):
+        with pytest.raises(DistributionError, match="coords must be finite"):
+            Pmf((0, 1), np.array([0.5, 0.5]), coords=(0.0, bad))
+
     def test_nan_joint_cell_rejected(self):
         with pytest.raises(DistributionError, match="sum"):
             JointPmf((0, 1), (0, 1), np.array([[math.nan, 0.5], [0.25, 0.25]]))
