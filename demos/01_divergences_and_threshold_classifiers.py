@@ -29,8 +29,8 @@ def banner(title):
 
 banner("Basic divergences between two three-atom distributions")
 coords = (1.0, 2.0, 3.0)
-s = Pmf.uniform(coords, coords=coords)
-t = Pmf(coords, np.array([0.25, 0.5, 0.25]), coords=coords)
+s = Pmf.uniform(coords)
+t = Pmf(coords, np.array([0.25, 0.5, 0.25]))
 m = mixture(t, s)
 print("source          :", dict(zip(s.atoms, s.probs.round(4))))
 print("target          :", dict(zip(t.atoms, t.probs.round(4))))

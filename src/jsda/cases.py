@@ -64,7 +64,7 @@ def _exact_uniform(coords: list[float]) -> Pmf:
         if residual == 0.0:
             break
         probs[0] += residual
-    return Pmf(tuple(coords), probs, coords=tuple(coords))
+    return Pmf(tuple(coords), probs)
 
 
 def interleaved_uniforms(xi: float) -> tuple[Pmf, Pmf]:
@@ -95,11 +95,15 @@ def counterexample1(xi: float, tol_override: float | None = None) -> CaseReport:
     )
 
 
+def _same_support_pair() -> tuple[Pmf, Pmf]:
+    """Source uniform on {1, 2, 3} and target (1/4, 1/2, 1/4)."""
+    points = (1.0, 2.0, 3.0)
+    return Pmf.uniform(points), Pmf(points, np.array([0.25, 0.5, 0.25]))
+
+
 def case_divergence_values(base) -> list:
     """The same-support case's KL components and JS, in the requested base."""
-    coords = (1.0, 2.0, 3.0)
-    s = Pmf.uniform(coords, coords=coords)
-    t = Pmf(coords, np.array([0.25, 0.5, 0.25]), coords=coords)
+    s, t = _same_support_pair()
     m = mixture(t, s)
     return [divergence("KL", s, m, base), divergence("KL", t, m, base),
             divergence("JS", t, s, base)]
@@ -112,13 +116,8 @@ def counterexample2(tol_override: float | None = None) -> CaseReport:
     threshold divergence exactly 1/12; in base 2 the two mixture KL
     components are 0.02110 and 0.02032 and their average is 0.0207.
     """
-    coords = (1.0, 2.0, 3.0)
-    s = Pmf.uniform(coords, coords=coords)
-    t = Pmf(coords, np.array([0.25, 0.5, 0.25]), coords=coords)
-    m = mixture(t, s)
-    kl_s = divergence("KL", s, m, "2").value
-    kl_t = divergence("KL", t, m, "2").value
-    js = js_divergence(t, s, "2")
+    s, t = _same_support_pair()
+    kl_s, kl_t, js = (d.value for d in case_divergence_values("2"))
     h_div = h_divergence_1d(t, s)
     expected = {
         "threshold_divergence": (1.0 / 12.0, 1e-12),

@@ -54,8 +54,7 @@ def _paired_probs(p: Pmf | JointPmf, q: Pmf | JointPmf) -> tuple[np.ndarray, np.
             raise DistributionError("joint divergence requires identical supports")
         return p.mass.ravel(), q.mass.ravel()
     if isinstance(p, Pmf) and isinstance(q, Pmf):
-        # coordinates on both sides still need align_supports' conflict check
-        if p.atoms == q.atoms and None in (p.coords, q.coords):
+        if p.atoms == q.atoms:
             return p.probs, q.probs
         pa, qa = align_supports(p, q)
         return pa.probs, qa.probs
@@ -161,21 +160,20 @@ def _exact_prefix_sums(masses: list[float]) -> np.ndarray:
 def h_divergence_1d(p: Pmf, q: Pmf) -> float:
     """Threshold-classifier divergence 1 - 2 min_h err(h) on the real line.
 
-    The hypothesis class is all threshold functions h_t (label 1 for x < t)
-    together with their complements. err(h) is the misclassification rate of
-    the balanced half/half mixture of the two distributions. Finite supports
-    make the optimum exactly attainable on midpoints between consecutive
-    distinct coordinates plus sentinels below and above the range; atoms with
-    tied coordinates are merged first.
+    The atoms are the points (``Pmf.coords``). The hypothesis class is all
+    threshold functions h_t (label 1 for x < t) together with their
+    complements. err(h) is the misclassification rate of the balanced
+    half/half mixture of the two distributions. Atoms that round to the same
+    float are merged first. Split k puts the first k of the n sorted distinct
+    coordinates c below the threshold: t = c[k] realises it exactly, even
+    between adjacent floats, and t = +inf realises split n, so the sweep
+    reads all n + 1 splits (split 0 has err 0.5).
 
     The cumulative masses are exact: each float is an integer over a power of
     two, so over the largest denominator the numerators add exactly as ints,
     and one correctly rounded ``int / int`` per prefix gives the bits
     ``float(Fraction)`` would. One sort and one array pass: O(n log n).
     """
-    if p.coords is None or q.coords is None:
-        raise DistributionError("threshold divergence needs real coordinates")
-
     def as_points(d: Pmf) -> dict[float, float]:
         pts: dict[float, float] = {}
         for c, m in zip(d.coords, d.probs.tolist()):
@@ -186,18 +184,9 @@ def h_divergence_1d(p: Pmf, q: Pmf) -> float:
     coords = sorted(set(pp) | set(qq))
     p_cum = _exact_prefix_sums([pp.get(c, 0.0) for c in coords])
     q_cum = _exact_prefix_sums([qq.get(c, 0.0) for c in coords])
-    c = np.array(coords)
-    with np.errstate(over="ignore"):
-        mid = 0.5 * (c[:-1] + c[1:])
-    # a + b overflows only for huge same-signed pairs; halving first cannot
-    mid = np.where(np.isinf(mid), 0.5 * c[:-1] + 0.5 * c[1:], mid)
-    thresholds = np.concatenate(([c[0] - 1.0], mid, [c[-1] + 1.0]))
-    # side="left" keeps c < t where a midpoint of adjacent floats rounds onto c
-    k = np.searchsorted(c, thresholds, side="left")
     # labeling A: h_t says "first distribution" below t
-    err_a = 0.5 * (1.0 - p_cum[k]) + 0.5 * q_cum[k]
-    best = min(0.5, err_a.min(), (1.0 - err_a).min())
-    return 1.0 - 2.0 * float(best)
+    err_a = 0.5 * (1.0 - p_cum) + 0.5 * q_cum
+    return 1.0 - 2.0 * float(min(err_a.min(), (1.0 - err_a).min()))
 
 
 def pushforward(p: Pmf, mapping: Callable) -> Pmf:

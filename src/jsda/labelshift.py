@@ -131,7 +131,7 @@ def reweighted_risk(labels: Sequence[int], losses: Sequence[float],
         raise LabelShiftError("labels and losses must align")
     if l.size == 0:
         return 0.0
-    if l.max() >= w.alpha.shape[0]:
+    if l.min() < 0 or l.max() >= w.alpha.shape[0]:
         raise LabelShiftError("label outside the weight vector's range")
     return float(np.mean(w.alpha[l] * v))
 

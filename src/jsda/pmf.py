@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Literal, Sequence
@@ -65,14 +66,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Pmf:
     """Probability mass function over an ordered finite support.
 
-    ``atoms`` are unique hashable identifiers; ``coords`` optionally attaches
-    a finite real coordinate to each atom (required by the 1-D
-    threshold-classifier divergence, ignored elsewhere).
+    ``atoms`` are unique hashable identifiers. Where they are finite real
+    numbers they are also the points of the real line (``coords``) that the
+    1-D threshold-classifier divergence sweeps.
     """
 
     atoms: tuple
     probs: np.ndarray
-    coords: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -84,21 +84,26 @@ class Pmf:
         if (self.probs < 0).any():
             raise DistributionError("negative probability mass")
         _check_total(self.probs.tolist())
-        if self.coords is not None:
-            coords = tuple(float(c) for c in self.coords)
-            if len(coords) != len(self.atoms):
-                raise DistributionError("coords must align with atoms")
-            if not all(map(math.isfinite, coords)):
-                raise DistributionError("coords must be finite")
-            object.__setattr__(self, "coords", coords)
 
     @classmethod
-    def _unchecked(cls, atoms: tuple, probs: np.ndarray, coords: tuple | None = None) -> "Pmf":
+    def _unchecked(cls, atoms: tuple, probs: np.ndarray) -> "Pmf":
         """No checks; ``probs`` must be a fresh float array, which gets frozen."""
         probs.setflags(write=False)
         pmf = object.__new__(cls)
-        pmf.__dict__.update(atoms=atoms, probs=probs, coords=coords)
+        pmf.__dict__.update(atoms=atoms, probs=probs)
         return pmf
+
+    @property
+    def coords(self) -> tuple[float, ...]:
+        """The atoms as floats; an error unless every atom is a finite real number."""
+        real = all(issubclass(t, numbers.Real) for t in set(map(type, self.atoms)))
+        try:
+            coords = tuple(map(float, self.atoms)) if real else (math.nan,)
+        except OverflowError:  # an int beyond the float range
+            coords = (math.inf,)
+        if not all(map(math.isfinite, coords)):
+            raise DistributionError("coordinates need finite real-number atoms")
+        return coords
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -111,12 +116,11 @@ class Pmf:
             return 0.0
 
     @staticmethod
-    def uniform(atoms: Sequence, coords: Sequence[float] | None = None) -> "Pmf":
+    def uniform(atoms: Sequence) -> "Pmf":
         n = len(atoms)
         if n == 0:
             raise DistributionError("empty support")
-        return Pmf(tuple(atoms), np.full(n, 1.0 / n),
-                   None if coords is None else tuple(coords))
+        return Pmf(tuple(atoms), np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,18 +274,16 @@ def mixture(p: Pmf, q: Pmf) -> Pmf:
     """The even mixture (p + q)/2 of two Pmfs on their unioned support.
 
     Supports are unioned with zero fill (atoms keep p's order, then q's new
-    atoms); coordinates, when present on both, must agree on shared atoms.
+    atoms).
     """
     pa, qa = align_supports(p, q)
-    return Pmf(pa.atoms, 0.5 * pa.probs + 0.5 * qa.probs, pa.coords)
+    return Pmf(pa.atoms, 0.5 * pa.probs + 0.5 * qa.probs)
 
 
 def align_supports(p: Pmf, q: Pmf) -> tuple[Pmf, Pmf]:
     """Re-express two Pmfs on their unioned support (zero-filled).
 
-    Atom order is p's support followed by q's atoms not in p. Coordinates
-    survive when available; conflicting coordinates on a shared atom are an
-    error.
+    Atom order is p's support followed by q's atoms not in p.
     """
     p_set = set(p.atoms)
     atoms = p.atoms + tuple(a for a in q.atoms if a not in p_set)
@@ -290,14 +292,4 @@ def align_supports(p: Pmf, q: Pmf) -> tuple[Pmf, Pmf]:
     qq = np.zeros(len(atoms))
     pp[: len(p.atoms)] = p.probs
     qq[[index[a] for a in q.atoms]] = q.probs
-    coords = None
-    if p.coords is not None and q.coords is not None:
-        cp = dict(zip(p.atoms, p.coords))
-        cq = dict(zip(q.atoms, q.coords))
-        for a in cp:
-            if a in cq and cp[a] != cq[a]:
-                raise DistributionError(
-                    f"incompatible atom coordinates for {a!r}: {cp[a]} vs {cq[a]}")
-        merged = {**cq, **cp}
-        coords = tuple(merged[a] for a in atoms)
-    return (Pmf._unchecked(atoms, pp, coords), Pmf._unchecked(atoms, qq, coords))
+    return Pmf._unchecked(atoms, pp), Pmf._unchecked(atoms, qq)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .pmf import JointPmf
 
@@ -256,7 +255,12 @@ def _mixture_cell_mass(sc: ShiftScenario, domain: Domain,
     means, covs, marg = sc.domain_params(domain)
     cols = []
     for y in range(sc.n_classes):
-        pdf = stats.multivariate_normal(mean=means[y], cov=covs[y]).pdf(centers)
+        # the Gaussian pdf by scipy.stats.multivariate_normal's own steps
+        s, u = np.linalg.eigh(covs[y], UPLO="L")
+        if s.min() <= 0.0:
+            raise ScenarioError("class covariances must be positive definite")
+        maha = np.sum(np.square((centers - means[y]) @ (u * np.sqrt(1.0 / s))), axis=-1)
+        pdf = np.exp(-0.5 * (2 * np.log(2 * np.pi) + np.sum(np.log(s)) + maha))
         cols.append(marg[y] * pdf)
     return np.stack(cols, axis=1)
 
@@ -306,11 +310,13 @@ def linear_zero_one_risk(sc: ShiftScenario, domain: Domain,
     """Exact zero-one risk of the rule predict 1 iff w.x + b > 0."""
     if sc.n_classes != 2:
         raise ScenarioError("closed-form risk needs exactly two classes")
+    from scipy.special import ndtr  # the normal cdf; scipy.stats is slow to import
+
     means, covs, marg = sc.domain_params(domain)
     risk = 0.0
     for y in range(2):
         mean = float(w @ means[y] + b)
         sd = math.sqrt(float(w @ covs[y] @ w))
-        p_positive = 1.0 - stats.norm.cdf(-mean / sd)
+        p_positive = 1.0 - ndtr(-mean / sd)
         risk += marg[y] * (1.0 - p_positive if y == 1 else p_positive)
     return float(risk)

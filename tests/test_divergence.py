@@ -1,12 +1,13 @@
 """Divergence tests: pinned values, sweep oracle, metric/inequality properties."""
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jsda import (
     DistributionError,
@@ -44,14 +45,10 @@ def as_points(d):
 
 
 def h_divergence_rescan(p, q):
-    """Reference: fsum every atom below every threshold (O(n^2))."""
+    """Reference: fsum every atom below every threshold, each coordinate and +inf (O(n^2))."""
     pp, qq = as_points(p), as_points(q)
-    coords = sorted(set(pp) | set(qq))
-    thresholds = [coords[0] - 1.0]
-    thresholds += [0.5 * (a + b) for a, b in zip(coords, coords[1:])]
-    thresholds += [coords[-1] + 1.0]
     best = 0.5
-    for t in thresholds:
+    for t in [*sorted(set(pp) | set(qq)), math.inf]:
         p_below = math.fsum(m for c, m in pp.items() if c < t)
         q_below = math.fsum(m for c, m in qq.items() if c < t)
         err_a = 0.5 * (1.0 - p_below) + 0.5 * q_below
@@ -65,29 +62,58 @@ def fraction_prefix_sums(masses):
 
 
 def h_divergence_fraction_sweep(p, q):
-    """Reference: the sorted sweep with Fraction prefix sums and a bisect per threshold."""
+    """Reference: every split of the sorted coordinates, with Fraction prefix sums."""
     pp, qq = as_points(p), as_points(q)
     coords = sorted(set(pp) | set(qq))
-    thresholds = [coords[0] - 1.0]
-    thresholds += [0.5 * (a + b) for a, b in zip(coords, coords[1:])]
-    thresholds += [coords[-1] + 1.0]
     p_cum = fraction_prefix_sums([pp.get(c, 0.0) for c in coords])
     q_cum = fraction_prefix_sums([qq.get(c, 0.0) for c in coords])
     best = 0.5
-    for t in thresholds:
-        k = bisect_left(coords, t)
-        err_a = 0.5 * (1.0 - p_cum[k]) + 0.5 * q_cum[k]
+    for p_below, q_below in zip(p_cum, q_cum):
+        err_a = 0.5 * (1.0 - p_below) + 0.5 * q_below
         best = min(best, err_a, 1.0 - err_a)
     return 1.0 - 2.0 * best
 
 
 def random_points(rng, pool):
-    """A Pmf on coordinates drawn from pool (ties likely), some masses zero."""
+    """A Pmf on points drawn from pool (ties likely, merged into one atom), some masses zero."""
     n = int(rng.integers(1, 25))
     probs = rng.random(n) * (rng.random(n) < 0.7)
     probs[int(rng.integers(n))] += 0.1
-    return Pmf(tuple(range(n)), probs / math.fsum(probs.tolist()),
-               coords=tuple(rng.choice(pool, n).tolist()))
+    pts = {}
+    for c, m in zip(rng.choice(pool, n).tolist(), (probs / math.fsum(probs.tolist())).tolist()):
+        pts[c] = pts.get(c, 0.0) + m
+    return Pmf(tuple(pts), np.array(list(pts.values())))
+
+
+def float_step(x, k):
+    """x moved k floats up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+EDGE_FLOATS = [0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 0.1, 2.0**53, 1e308, -1e308]
+base_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e308, 1e308))
+
+
+@st.composite
+def point_pairs(draw):
+    """Two Pmfs on float atoms near up to three shared bases: float neighbours are
+    likely, as are subnormals, zeros, +-1e308 and zero-mass atoms."""
+    bases = draw(st.lists(base_floats, min_size=1, max_size=3))
+    picks = st.tuples(st.integers(0, len(bases) - 1), st.integers(-2, 2),
+                      st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+
+    def pmf():
+        pts = {}
+        for i, k, m in draw(st.lists(picks, min_size=1, max_size=8)):
+            pts.setdefault(float_step(bases[i], k), m)
+        m = list(pts.values())
+        if math.fsum(m) == 0.0:
+            m[0] = 1.0
+        return Pmf(tuple(pts), np.array(m) / math.fsum(m))
+
+    return pmf(), pmf()
 
 
 def random_sparse_joint(rng, nx, ny):
@@ -208,17 +234,17 @@ class TestDivergenceValues:
 
 class TestThresholdDivergence:
     def test_identical_distributions(self):
-        p = Pmf((0, 1, 2), np.array([0.2, 0.3, 0.5]), coords=(0.0, 1.0, 2.0))
+        p = Pmf((0.0, 1.0, 2.0), np.array([0.2, 0.3, 0.5]))
         assert h_divergence_1d(p, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_reweighting_case_value(self):
-        coords = (1.0, 2.0, 3.0)
-        s = Pmf(coords, np.full(3, 1.0 / 3.0), coords=coords)
-        t = Pmf(coords, np.array([0.25, 0.5, 0.25]), coords=coords)
+        s = Pmf((1.0, 2.0, 3.0), np.full(3, 1.0 / 3.0))
+        t = Pmf((1.0, 2.0, 3.0), np.array([0.25, 0.5, 0.25]))
         assert h_divergence_1d(t, s) == pytest.approx(1.0 / 12.0, abs=1e-12)
 
     def test_missing_coordinates(self):
-        p = Pmf((0, 1), np.array([0.5, 0.5]))
+        # grid atoms are points of the plane, not of the line
+        p = Pmf(((0.0, 0.0), (1.0, 0.0)), np.array([0.5, 0.5]))
         with pytest.raises(DistributionError, match="coordinates"):
             h_divergence_1d(p, p)
 
@@ -230,26 +256,34 @@ class TestThresholdDivergence:
             coords = tuple(np.sort(rng.uniform(-3, 3, n)).tolist())
             p = random_pmf(rng, n)
             q = random_pmf(rng, n)
-            p = Pmf(p.atoms, p.probs, coords=coords)
-            q = Pmf(q.atoms, q.probs, coords=coords)
+            p = Pmf(coords, p.probs)
+            q = Pmf(coords, q.probs)
             cdf_gap = float(np.max(np.abs(np.cumsum(p.probs) - np.cumsum(q.probs))))
             assert h_divergence_1d(p, q) == pytest.approx(cdf_gap, abs=1e-12)
 
     def test_tied_coordinates_merge(self):
-        p = Pmf(("a", "b", "c"), np.array([0.2, 0.3, 0.5]), coords=(0.0, 0.0, 1.0))
-        q = Pmf(("d", "e"), np.array([0.5, 0.5]), coords=(0.0, 1.0))
-        assert h_divergence_1d(p, q) == pytest.approx(0.0, abs=1e-12)
+        # distinct atoms 2**53 and 2**53 + 1 are the same float, so no threshold splits them
+        p = Pmf((2**53 + 1, 0, 2**53), np.array([0.2, 0.5, 0.3]))
+        q = Pmf((0.0, 2.0**53), np.array([0.5, 0.5]))
+        assert h_divergence_1d(p, q) == 0.0
+        assert h_divergence_1d(q, p) == 0.0
+
+    def test_adjacent_floats_are_separated(self):
+        # the threshold t = nextafter(1.0, 2) puts 1.0 below it and itself above
+        p = Pmf((1.0,), np.array([1.0]))
+        q = Pmf((math.nextafter(1.0, 2.0),), np.array([1.0]))
+        assert h_divergence_1d(p, q) == 1.0
+        assert h_divergence_1d(q, p) == 1.0
 
     def test_sorted_sweep_equals_rescan(self):
-        coords = (1.0, 2.0, 3.0)
-        s = Pmf(coords, np.full(3, 1.0 / 3.0), coords=coords)
-        t = Pmf(coords, np.array([0.25, 0.5, 0.25]), coords=coords)
+        s = Pmf((1.0, 2.0, 3.0), np.full(3, 1.0 / 3.0))
+        t = Pmf((1.0, 2.0, 3.0), np.array([0.25, 0.5, 0.25]))
         assert h_divergence_1d(t, s) == h_divergence_rescan(t, s)
         assert h_divergence_1d(t, s) == pytest.approx(1.0 / 12.0, abs=1e-12)
         rng = np.random.default_rng(21)
         for _ in range(400):
             base = float(rng.choice([0.0, 1.0, 0.1, 1e16]))
-            # integer offsets tie; at adjacent floats the midpoint rounds onto an atom
+            # integer offsets tie at 1e16; adjacent floats need the threshold on an atom
             up = np.nextafter(base, np.inf)
             pool = np.concatenate([base + rng.integers(-4, 5, 8), [up, np.nextafter(up, np.inf)],
                                    rng.normal(base, 1.0, 6)])
@@ -283,10 +317,37 @@ class TestThresholdDivergence:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_separating_threshold_where_midpoint_sum_overflows(self, sign):
         # 1e308 + 1.5e308 overflows, yet the float threshold 1.25e308 separates
-        p = Pmf(("a",), np.array([1.0]), coords=(sign * 1e308,))
-        q = Pmf(("b", "c"), np.array([0.5, 0.5]), coords=(sign * 1.5e308, sign * 1.7e308))
+        p = Pmf((sign * 1e308,), np.array([1.0]))
+        q = Pmf((sign * 1.5e308, sign * 1.7e308), np.array([0.5, 0.5]))
         assert h_divergence_1d(p, q) == 1.0
         assert h_divergence_1d(q, p) == 1.0
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+class TestThresholdProperties:
+    """Property layer for the threshold kernel on adversarial float atoms."""
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs())
+    def test_equals_every_split_oracle(self, pair):
+        p, q = pair
+        assert h_divergence_1d(p, q) == h_divergence_rescan(p, q)
+        assert h_divergence_1d(q, p) == h_divergence_rescan(q, p)
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs())
+    def test_lies_in_unit_interval(self, pair):
+        assert 0.0 <= h_divergence_1d(*pair) <= 1.0
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs())
+    def test_doubling_the_line_changes_no_bit(self, pair):
+        p, q = pair
+        assume(all(abs(a) <= 1e307 for a in p.atoms + q.atoms))
+        p2, q2 = (Pmf(tuple(2.0 * a for a in d.atoms), d.probs) for d in pair)
+        assert h_divergence_1d(p2, q2) == h_divergence_1d(p, q)
 
 
 class TestConditionalFamily:
@@ -313,13 +374,10 @@ class TestConditionalFamily:
                     else:
                         assert a not in s_cond and a not in t_cond and value == 0.0
 
-    def test_same_support_fast_path_keeps_coordinate_check(self):
-        p = Pmf((0, 1), np.array([0.5, 0.5]), coords=(0.0, 1.0))
-        q = Pmf((0, 1), np.array([0.25, 0.75]), coords=(0.0, 2.0))
-        with pytest.raises(DistributionError, match="incompatible atom coordinates"):
-            js_divergence(p, q)
-        bare = Pmf((0, 1), q.probs)
-        assert js_divergence(p, bare) == js_divergence(p, Pmf((1, 0), q.probs[::-1]))
+    def test_same_support_fast_path_equals_aligned_path(self):
+        p = Pmf((0, 1), np.array([0.5, 0.5]))
+        q = Pmf((0, 1), np.array([0.25, 0.75]))
+        assert js_divergence(p, q) == js_divergence(p, Pmf((1, 0), q.probs[::-1]))
 
 
 class TestPushforward:

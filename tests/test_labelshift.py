@@ -127,6 +127,8 @@ class TestReweightedRisk:
     def test_label_out_of_range(self):
         with pytest.raises(LabelShiftError, match="range"):
             reweighted_risk([0, 5], [0.1, 0.2], WeightVector(np.ones(2)))
+        with pytest.raises(LabelShiftError, match="range"):
+            reweighted_risk([-1, 0], [1.0, 1.0], WeightVector(np.array([0.5, 3.0])))
 
 
 class TestScenarioRecovery:

@@ -14,6 +14,7 @@ from jsda import (
     conditionals,
     entropy_stats,
     expected_risk,
+    h_divergence_1d,
     marginals,
     mixture,
 )
@@ -45,10 +46,14 @@ class TestValidation:
         with pytest.raises(DistributionError, match="sum"):
             Pmf((0, 1), np.array([math.nan, 1.0]))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     pytest.param(10**400, id="int-1e400"), "a"])
     def test_non_finite_coords_rejected(self, bad):
-        with pytest.raises(DistributionError, match="coords must be finite"):
-            Pmf((0, 1), np.array([0.5, 0.5]), coords=(0.0, bad))
+        p = Pmf((0.0, bad), np.array([0.5, 0.5]))
+        with pytest.raises(DistributionError, match="finite real-number atoms"):
+            p.coords
+        with pytest.raises(DistributionError, match="finite real-number atoms"):
+            h_divergence_1d(p, Pmf((0.0,), np.array([1.0])))
 
     def test_nan_joint_cell_rejected(self):
         with pytest.raises(DistributionError, match="sum"):
@@ -63,9 +68,9 @@ class TestValidation:
                    *align_supports(px, other)]
         for d in derived:
             assert not d.probs.flags.writeable
-            checked = Pmf(d.atoms, d.probs, d.coords)
+            checked = Pmf(d.atoms, d.probs)
             assert isinstance(d.atoms, tuple) and checked.atoms == d.atoms
-            assert np.array_equal(checked.probs, d.probs) and checked.coords == d.coords
+            assert np.array_equal(checked.probs, d.probs)
 
     def test_joint_needs_two_labels(self):
         with pytest.raises(DistributionError, match="two labels"):
@@ -312,12 +317,6 @@ class TestMixture:
         t = Pmf((1, 2, 3), np.array([0.25, 0.5, 0.25]))
         m = mixture(t, s)
         assert np.allclose(m.probs, [7 / 24, 5 / 12, 7 / 24], atol=1e-15)
-
-    def test_coordinate_conflict(self):
-        p = Pmf((0, 1), np.array([0.5, 0.5]), coords=(0.0, 1.0))
-        q = Pmf((0, 1), np.array([0.5, 0.5]), coords=(0.0, 2.0))
-        with pytest.raises(DistributionError, match="incompatible"):
-            mixture(p, q)
 
 
 def test_align_supports_zero_fills():

@@ -1,6 +1,10 @@
 """Scenario generator tests: construction, sampling, discretization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,17 @@ from jsda import (
     midpoint_classifier,
     sample,
 )
-from jsda.scenarios import ScenarioError, bounding_box
+from jsda.scenarios import ScenarioError, _grid_centers, _mixture_cell_mass, bounding_box
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def random_cov_scenario(rng):
+    """A conditional-shift scenario whose source classes have random SPD covariances."""
+    d = make_scenario("conditional-shift").to_json_dict()
+    a = rng.normal(size=(2, 2, 2))
+    d["source_covs"] = (a @ a.transpose(0, 2, 1) + 0.1 * np.eye(2)).tolist()
+    return ShiftScenario.from_json_dict(d)
 
 
 def binary_js_nats(p1: float, q1: float) -> float:
@@ -173,6 +187,23 @@ class TestDiscretization:
         with pytest.raises(ScenarioError):
             discretize(sc, "source", grid=1)
 
+    def test_cell_mass_equals_scipy_pdf(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(8)
+        for sc in [make_scenario("cofeature"), *(random_cov_scenario(rng) for _ in range(20))]:
+            centers, _ = _grid_centers(sc, 16)
+            means, covs, marg = sc.domain_params("source")
+            expected = np.stack([marg[y] * stats.multivariate_normal(means[y], covs[y]).pdf(centers)
+                                 for y in range(2)], axis=1)
+            assert np.array_equal(_mixture_cell_mass(sc, "source", centers), expected)
+
+    def test_indefinite_covariance_rejected(self):
+        d = make_scenario("label-shift").to_json_dict()
+        d["source_covs"][0] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(ScenarioError, match="positive definite"):
+            discretize(ShiftScenario.from_json_dict(d), "source", grid=8)
+
     def test_degenerate_bounding_box(self):
         sc = make_scenario("label-shift", target_label_marginal=(0.8, 0.2),
                            means=[[0.0, 0.0], [0.0, 0.0]], cov_scale=0.0)
@@ -202,6 +233,19 @@ class TestClassifierHelpers:
         mc = float(np.mean(preds != batch.ys))
         assert mc == pytest.approx(exact, abs=0.005)
 
+    def test_closed_form_risk_equals_scipy_norm_cdf(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            sc = random_cov_scenario(rng)
+            w, b = rng.normal(size=2), float(rng.normal())
+            means, covs, marg = sc.domain_params("source")
+            p1 = [1.0 - stats.norm.cdf(-float(w @ means[y] + b) / math.sqrt(float(w @ covs[y] @ w)))
+                  for y in range(2)]
+            expected = float(marg[0] * p1[0] + marg[1] * (1.0 - p1[1]))
+            assert linear_zero_one_risk(sc, "source", w, b) == expected
+
     def test_discretized_risk_agrees_with_closed_form(self):
         # grid-summed zero-one risk of the same rule, on a fine grid
         sc = make_scenario("label-shift", source_label_marginal=(0.5, 0.5),
@@ -214,3 +258,9 @@ class TestClassifierHelpers:
         grid_risk = expected_risk(t, LossTable(values))
         assert grid_risk == pytest.approx(linear_zero_one_risk(sc, "target", w, b),
                                           abs=5e-3)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, jsda, jsda.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
