@@ -36,8 +36,7 @@ print("source          :", dict(zip(s.atoms, s.probs.round(4))))
 print("target          :", dict(zip(t.atoms, t.probs.round(4))))
 print("even mixture    :", dict(zip(m.atoms, m.probs.round(4))))
 for kind in ("KL", "JS", "TV", "Renyi2"):
-    v = divergence(kind, t, s, "2")
-    print(f"{kind:7s} (base 2) = {v.value:.6f}")
+    print(f"{kind:7s} (base 2) = {divergence(kind, t, s, '2'):.6f}")
 print(f"JS distance (metric) = {js_distance(t, s, '2'):.6f}")
 
 banner("Case 1: disjoint interleaved uniforms -- JS saturates, thresholds do not")

@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .cases import CaseReport, counterexample1, counterexample2, interleaved_uniforms
 from .divergence import (
-    DivergenceValue,
     divergence,
     h_divergence_1d,
     half_total_variation,

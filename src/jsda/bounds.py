@@ -117,6 +117,16 @@ def _gap_term(tail: TailParams, js_nats: float) -> float:
     return (tail.sigma + 1.0) * math.sqrt(2.0 * js_nats) + 2.0 * tail.a * js_nats
 
 
+def _loss_tail(l: LossTable, tail: TailParams | None) -> TailParams:
+    """``tail`` (default: bounded at the loss range); a bounded g below that range raises."""
+    if tail is None:
+        return TailParams("bounded", g=l.range_g)
+    if tail.variant == "bounded" and tail.g + 1e-12 < l.range_g:
+        raise BoundInputError(
+            f"tail range g={tail.g} smaller than actual loss range {l.range_g}")
+    return tail
+
+
 def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
                       tail: TailParams | None = None) -> BoundReport:
     """Upper bound on the target risk from the joint divergence.
@@ -126,11 +136,7 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     sigma*sqrt(2 JS) for sub-Gaussian ones, and
     (sigma+1)*sqrt(2 JS) + 2a*JS for the sub-Gamma envelope.
     """
-    if tail is None:
-        tail = TailParams("bounded", g=l.range_g)
-    if tail.variant == "bounded" and tail.g + 1e-12 < l.range_g:
-        raise BoundInputError(
-            f"tail range g={tail.g} smaller than actual loss range {l.range_g}")
+    tail = _loss_tail(l, tail)
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
     js = _joint_js(s, t)
@@ -237,8 +243,7 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     Caution: the chain rule holds, but the bounded gap keeps joint-upper's
     G/sqrt(2) constant, so the bound fails wherever that constant is too tight.
     """
-    if tail is None:
-        tail = TailParams("bounded", g=l.range_g)
+    tail = _loss_tail(l, tail)
     marg_js, cond_js = _marginal_js(s, t, axis), _conditional_shift(s, t, axis)
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)

@@ -68,8 +68,8 @@ def _cmd_counterexamples(args) -> int:
                  columns=["case", "quantity", "computed", "expected",
                           "tolerance", "ok"])
     if args.base is not None:
-        for dv in cases.case_divergence_values(args.base):
-            print(json.dumps(dv.to_json_dict()))
+        for kind, value in cases.case_divergence_values(args.base):
+            print(json.dumps({"kind": kind, "base": args.base, "value": value}))
     for rep in reports:
         print(f"# {rep.case_id}: {'PASS' if rep.verdict else 'FAIL'}")
     return 0 if all(rep.verdict for rep in reports) else 1

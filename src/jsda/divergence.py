@@ -14,7 +14,6 @@ inequality uses, while :func:`half_total_variation` is the halved metric
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Literal
 
@@ -32,19 +31,6 @@ def _nonnegative(value: float) -> float:
     if value < 0:
         raise DistributionError(f"negative divergence {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class DivergenceValue:
-    kind: DivergenceKind
-    value: float
-    base: LogBase
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _nonnegative(self.value))
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "base": self.base, "value": self.value}
 
 
 def _paired_probs(p: Pmf | JointPmf, q: Pmf | JointPmf) -> tuple[np.ndarray, np.ndarray]:
@@ -102,12 +88,13 @@ def _renyi2(p: list[float], q: list[float], log) -> float:
 
 
 def divergence(kind: DivergenceKind, p: Pmf | JointPmf, q: Pmf | JointPmf,
-               base: LogBase = "e") -> DivergenceValue:
+               base: LogBase = "e") -> float:
     """Exact divergence of the given kind between two same-shape objects.
 
     JS uses the symmetric even mixture 1/2[KL(p||m) + KL(q||m)],
     m = (p + q)/2. KL and Renyi2 return +inf on non-domination. TV ignores
-    the base (it is not logarithmic).
+    the base (it is not logarithmic). Rounding noise above -1e-15 is
+    reported as 0.0.
     """
     pp, qq = (a.tolist() for a in _paired_probs(p, q))
     _log_with_base(base)  # rejects an unsupported base
@@ -124,20 +111,20 @@ def divergence(kind: DivergenceKind, p: Pmf | JointPmf, q: Pmf | JointPmf,
         v = _renyi2(pp, qq, log)
     else:
         raise DistributionError(f"unknown divergence kind {kind!r}")
-    return DivergenceValue(kind, v, base)
+    return _nonnegative(v)
 
 
 def js_divergence(p, q, base: LogBase = "e") -> float:
-    return divergence("JS", p, q, base).value
+    return divergence("JS", p, q, base)
 
 
 def kl_divergence(p, q, base: LogBase = "e") -> float:
-    return divergence("KL", p, q, base).value
+    return divergence("KL", p, q, base)
 
 
 def total_variation(p, q) -> float:
     """Sum-of-absolute-differences total variation, in [0, 2]."""
-    return divergence("TV", p, q).value
+    return divergence("TV", p, q)
 
 
 def half_total_variation(p, q) -> float:

@@ -36,6 +36,7 @@ Domain = Literal["source", "target"]
 _DOMAIN_CODE = {"source": 0, "target": 1}
 _STREAM_LABELS = 1
 _STREAM_FEATURES = 2
+BOX_SIGMAS = 4.0  # the discretization box reaches mean +- BOX_SIGMAS sd per axis
 
 
 class ScenarioError(ValueError):
@@ -119,7 +120,6 @@ class ShiftScenario:
 class SampleBatch:
     xs: np.ndarray
     ys: np.ndarray
-    domain: Domain
 
     def __post_init__(self) -> None:
         xs = np.array(self.xs, dtype=float)
@@ -223,16 +223,16 @@ def sample(sc: ShiftScenario, domain: Domain, n: int,
             continue
         chol = np.linalg.cholesky(covs[y])
         xs[mask] = means[y] + noise[mask] @ chol.T
-    return SampleBatch(xs, ys, domain)
+    return SampleBatch(xs, ys)
 
 
-def bounding_box(sc: ShiftScenario, n_sigma: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
-    """Union over both domains and all classes of mean +- n_sigma per axis."""
+def bounding_box(sc: ShiftScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Union over both domains and all classes of mean +- BOX_SIGMAS sd per axis."""
     los, his = [], []
     for means, covs, _ in (sc.domain_params("source"), sc.domain_params("target")):
         sd = np.sqrt(np.stack([np.diag(c) for c in covs]))
-        los.append((means - n_sigma * sd).min(axis=0))
-        his.append((means + n_sigma * sd).max(axis=0))
+        los.append((means - BOX_SIGMAS * sd).min(axis=0))
+        his.append((means + BOX_SIGMAS * sd).max(axis=0))
     lo = np.minimum(*los)
     hi = np.maximum(*his)
     if np.any(hi - lo <= 0):

@@ -39,29 +39,30 @@ from .divergence import (
 from .pmf import JointPmf, LossTable, Pmf
 
 
-def random_pmf(rng: np.random.Generator, n: int | None = None,
-               n_max: int = 10) -> Pmf:
+PMF_MAX_ATOMS, JOINT_MAX_X, JOINT_MAX_Y = 10, 8, 4  # largest random support sizes
+
+
+def random_pmf(rng: np.random.Generator, n: int | None = None) -> Pmf:
     if n is None:
-        n = int(rng.integers(2, n_max + 1))
+        n = int(rng.integers(2, PMF_MAX_ATOMS + 1))
     probs = rng.uniform(1e-6, 1.0, n)
     return Pmf(tuple(range(n)), probs / math.fsum(probs.tolist()))
 
 
 def random_joint(rng: np.random.Generator, nx: int | None = None,
-                 ny: int | None = None, nx_max: int = 8, ny_max: int = 4) -> JointPmf:
+                 ny: int | None = None) -> JointPmf:
     if nx is None:
-        nx = int(rng.integers(2, nx_max + 1))
+        nx = int(rng.integers(2, JOINT_MAX_X + 1))
     if ny is None:
-        ny = int(rng.integers(2, ny_max + 1))
+        ny = int(rng.integers(2, JOINT_MAX_Y + 1))
     mass = rng.uniform(1e-6, 1.0, (nx, ny))
     mass /= math.fsum(mass.ravel().tolist())
     return JointPmf(tuple(range(nx)), tuple(range(ny)), mass)
 
 
 def random_joint_pair(rng: np.random.Generator) -> tuple[JointPmf, JointPmf]:
-    nx = int(rng.integers(2, 9))
-    ny = int(rng.integers(2, 5))
-    return random_joint(rng, nx, ny), random_joint(rng, nx, ny)
+    s = random_joint(rng)
+    return s, random_joint(rng, *s.shape)
 
 
 def _random_loss(rng: np.random.Generator, shape: tuple[int, int],

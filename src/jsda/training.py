@@ -23,7 +23,10 @@ follows the warm-up schedule lam0 = 2/(1+exp(k*m)) - 1 over the training
 progress m, with the conditional term at a fixed multiple of the same
 schedule. Every random choice flows through purpose-keyed streams so runs
 with common seeds share data, init, and batch order across principle
-subsets.
+subsets. Fixed settings are module constants: WARMUP_K (k = -10, DANN's
+gamma = 10; Ganin & Lempitsky, arXiv 1409.7495), CENTROID_MOMENTUM,
+HOLDOUT_FRACTION, KAPPA (the constraint level of the trace's kappa_ok) and
+GRAD_CHECK_STEP.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ _STREAM_HOLDOUT = 11
 _STREAM_INIT = 12
 _STREAM_SHUFFLE = 13
 
+WARMUP_K = -10.0
+CENTROID_MOMENTUM = 0.5
+HOLDOUT_FRACTION = 0.2
+KAPPA = 0.05
+GRAD_CHECK_STEP = 1e-5
+
 PRINCIPLES = ("I", "II", "III")
 
 
@@ -57,29 +66,25 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     """Training hyperparameters and principle gating.
 
-    k is the warm-up schedule constant, cond_multiplier the (>1) factor
-    giving the conditional term a higher weight than the adversarial one,
-    kappa the feature-marginal constraint level reported in the trace.
-    n_source counts training samples; a further holdout_fraction of that
-    size is drawn and reserved for the shift-weight confusion matrix.
-    init_scale 0 is the all-zero sanity init. feature-shift tracking
-    (the over-matching diagnostic) needs 2-D features.
+    cond_multiplier is the (>1) factor giving the conditional term a higher
+    weight than the adversarial one. n_source counts training samples; a
+    further HOLDOUT_FRACTION of that size is drawn and reserved for the
+    shift-weight confusion matrix. init_scale 0 is the all-zero sanity init.
+    feature-shift tracking (the over-matching diagnostic) needs 2-D features.
+    The warm-up constant (WARMUP_K, DANN's gamma = 10), the centroid momentum
+    (CENTROID_MOMENTUM) and the constraint level (KAPPA) are module constants.
     """
 
     epochs: int = 40
     batch_size: int = 128
     learning_rate: float = 0.05
-    k: float = -10.0
     cond_multiplier: float = 2.0
-    kappa: float = 0.05
-    centroid_momentum: float = 0.5
     seed: int = 0
     principles: frozenset = frozenset(PRINCIPLES)
     hidden_width: int = 16
     feature_width: int = 16
     n_source: int = 2000
     n_target: int = 2000
-    holdout_fraction: float = 0.2
     init_scale: float = 1.0
     track_feature_shift: bool = False
     feature_bins: int = 24
@@ -91,14 +96,10 @@ class TrainConfig:
         for name in ("n_source", "n_target", "hidden_width", "feature_width", "feature_bins"):
             if not getattr(self, name) >= 1:
                 raise TrainingError(f"{name} must be at least 1")
-        if not 0.0 <= self.holdout_fraction < math.inf:
-            raise TrainingError("holdout_fraction must be finite and >= 0")
         if not self.principles or not self.principles <= set(PRINCIPLES):
             raise TrainingError("principles must be a nonempty subset of {I, II, III}")
         if not self.cond_multiplier > 1.0:
             raise TrainingError("the conditional-loss multiplier must exceed 1")
-        if not 0.0 <= self.centroid_momentum < 1.0:
-            raise TrainingError("centroid momentum must lie in [0, 1)")
         if self.track_feature_shift and self.feature_width != 2:
             raise TrainingError("feature-shift tracking needs feature_width == 2")
 
@@ -205,11 +206,12 @@ def _softplus(u: np.ndarray) -> np.ndarray:
 
 
 def _effective_centroid(stored: np.ndarray, count: int, batch_mean: np.ndarray | None,
-                        rho: float) -> tuple[np.ndarray | None, float]:
+                        ) -> tuple[np.ndarray | None, float]:
     """(centroid used in the loss, gradient coefficient on the batch mean)."""
     if batch_mean is not None:
         if count > 0:
-            return rho * stored + (1.0 - rho) * batch_mean, (1.0 - rho)
+            rho = CENTROID_MOMENTUM
+            return rho * stored + (1.0 - rho) * batch_mean, 1.0 - rho
         return batch_mean, 1.0
     if count > 0:
         return stored.copy(), 0.0
@@ -218,7 +220,7 @@ def _effective_centroid(stored: np.ndarray, count: int, batch_mean: np.ndarray |
 
 def loss_and_gradients(
     m: ModelParams, src: SampleBatch, tgt: SampleBatch, st: CentroidState,
-    w: WeightVector, lam0: float, lam1: float, rho: float = 0.5,
+    w: WeightVector, lam0: float, lam1: float,
     class_weights: np.ndarray | None = None, lam_source: float = 1.0,
 ) -> tuple[dict[str, float], dict[str, np.ndarray], CentroidState]:
     """Loss breakdown, gradient of lam_source*I + lam1*II + lam0*III, centroids.
@@ -266,8 +268,8 @@ def loss_and_gradients(
         idx_t = np.flatnonzero(tgt.ys == y)
         mean_s = z_s[idx_s].mean(axis=0) if idx_s.size else None
         mean_t = z_t[idx_t].mean(axis=0) if idx_t.size else None
-        mu_s, coef_s = _effective_centroid(st.source[y], st.source_counts[y], mean_s, rho)
-        mu_t, coef_t = _effective_centroid(st.target[y], st.target_counts[y], mean_t, rho)
+        mu_s, coef_s = _effective_centroid(st.source[y], st.source_counts[y], mean_s)
+        mu_t, coef_t = _effective_centroid(st.target[y], st.target_counts[y], mean_t)
         if mu_s is not None and idx_s.size:
             new_st.source[y] = mu_s
             new_st.source_counts[y] += 1
@@ -305,8 +307,7 @@ def loss_and_gradients(
 
 def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
                st: CentroidState, w: WeightVector, lam0: float, lam1: float,
-               lr: float, rho: float = 0.5,
-               class_weights: np.ndarray | None = None,
+               lr: float, class_weights: np.ndarray | None = None,
                ) -> tuple[ModelParams, CentroidState, dict[str, float]]:
     """One saddle step: descent on (h, g), ascent on d, centroid commit.
 
@@ -315,7 +316,7 @@ def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
     same objective (the reversal).
     """
     breakdown, grads, new_st = loss_and_gradients(
-        m, src, tgt, st, w, lam0, lam1, rho, class_weights)
+        m, src, tgt, st, w, lam0, lam1, class_weights)
     for term, value in breakdown.items():
         if not math.isfinite(value):
             raise TrainingError(f"non-finite loss in term {term!r}")
@@ -346,9 +347,9 @@ def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
     return labels, Pmf(tuple(range(n_classes)), t_p / t_p.sum()), alpha, cm
 
 
-def lambda_schedule(progress: float, k: float = -10.0) -> float:
-    """Warm-up weight 2/(1+exp(k*progress)) - 1 over progress in [0, 1]."""
-    return 2.0 / (1.0 + math.exp(k * progress)) - 1.0
+def lambda_schedule(progress: float) -> float:
+    """Warm-up weight 2/(1+exp(k*progress)) - 1 over progress in [0, 1], k = WARMUP_K."""
+    return 2.0 / (1.0 + math.exp(WARMUP_K * progress)) - 1.0
 
 
 @dataclass
@@ -368,7 +369,6 @@ class TrainTrace:
     feature_js: list[float] = field(default_factory=list)
     conditional_floor: list[float] = field(default_factory=list)
     model: ModelParams | None = None
-    centroids: CentroidState | None = None
 
     def n_epochs(self) -> int:
         return len(self.target_accuracy)
@@ -399,7 +399,7 @@ class TrainTrace:
 
 def feature_shift_statistics(z_s: np.ndarray, z_t: np.ndarray,
                              ys_s: np.ndarray, ys_t: np.ndarray,
-                             n_classes: int, bins: int = 24) -> dict[str, float]:
+                             n_classes: int, bins: int) -> dict[str, float]:
     """Histogram-discretized divergences of the current feature space.
 
     Bins both feature clouds on a shared grid, then reports the feature
@@ -433,7 +433,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
     warm-up schedule itself is not gated, so II keeps its weight in
     III-less ablations).
     """
-    n_hold = max(2, int(cfg.holdout_fraction * cfg.n_source))
+    n_hold = max(2, int(HOLDOUT_FRACTION * cfg.n_source))
     src_all = sample(sc, "source", cfg.n_source + n_hold, stream=(cfg.seed,))
     tgt_all = sample(sc, "target", cfg.n_target, stream=(cfg.seed,))
     perm = np.random.default_rng([cfg.seed, _STREAM_HOLDOUT]).permutation(len(src_all))
@@ -451,7 +451,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
     n_src, n_tgt = src_ys.size, len(tgt_all)
     for epoch in range(cfg.epochs):
         progress = epoch / max(1, cfg.epochs - 1)
-        lam_sched = lambda_schedule(progress, cfg.k)
+        lam_sched = lambda_schedule(progress)
         lam0 = lam_sched if "III" in cfg.principles else 0.0
         lam1 = cfg.cond_multiplier * lam_sched if "II" in cfg.principles else 0.0
         w = alpha_hat if "I" in cfg.principles else unit
@@ -466,11 +466,11 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
             bs = order_s[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             start = (b * cfg.batch_size) % n_tgt
             bt = np.take(order_t, np.arange(start, start + bs.size), mode="wrap")
-            src_batch = SampleBatch(src_xs[bs], src_ys[bs], "source")
-            tgt_batch = SampleBatch(tgt_all.xs[bt], pseudo[bt], "target")
+            src_batch = SampleBatch(src_xs[bs], src_ys[bs])
+            tgt_batch = SampleBatch(tgt_all.xs[bt], pseudo[bt])
             m, st, breakdown = train_step(
                 m, src_batch, tgt_batch, st, w, lam0, lam1, cfg.learning_rate,
-                rho=cfg.centroid_momentum, class_weights=class_weights)
+                class_weights=class_weights)
             terms["weighted_source"].append(breakdown["weighted_source"])
             terms["conditional"].append(breakdown["conditional"])
             terms["js_estimate"].append(breakdown["js_estimate"])
@@ -490,7 +490,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
         trace.t_p_hat.append(t_p.probs.copy())
         trace.lam0.append(lam0)
         trace.lam1.append(lam1)
-        trace.kappa_ok.append(js_est <= cfg.kappa)
+        trace.kappa_ok.append(js_est <= KAPPA)
         if cfg.track_feature_shift:
             z_s, _ = features(m, src_xs)
             z_t, _ = features(m, tgt_all.xs)
@@ -500,14 +500,13 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
             trace.conditional_floor.append(stats["conditional_floor"])
 
     trace.model = m
-    trace.centroids = st
     return trace
 
 
 def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
                st: CentroidState, w: WeightVector, lam0: float = 0.7,
-               lam1: float = 0.9, rho: float = 0.5, step: float = 1e-5,
-               class_weights: np.ndarray | None = None) -> dict[str, float]:
+               lam1: float = 0.9, class_weights: np.ndarray | None = None,
+               ) -> dict[str, float]:
     """Central-difference audit of every analytic gradient.
 
     Each term's analytic gradient is ``loss_and_gradients`` with that term's
@@ -521,15 +520,16 @@ def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
                "adversarial": (1.0, 0.0, 0.0), "total": (lam0, lam1, 1.0)}
     numeric = {key: {name: np.zeros_like(arr) for name, arr in m.param_items()}
                for key in weights}
+    step = GRAD_CHECK_STEP
     for name, arr in m.param_items():
         flat_p = arr.ravel()
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + step
-            hi, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1, rho,
+            hi, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1,
                                           class_weights)
             flat_p[i] = orig - step
-            lo, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1, rho,
+            lo, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1,
                                           class_weights)
             flat_p[i] = orig
             for key in weights:
@@ -546,7 +546,7 @@ def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
 
     result = {}
     for key, (l0, l1, ls) in weights.items():
-        _, analytic, _ = loss_and_gradients(m, src, tgt, st, w, l0, l1, rho,
+        _, analytic, _ = loss_and_gradients(m, src, tgt, st, w, l0, l1,
                                             class_weights, lam_source=ls)
         label = "composite" if key == "total" else key
         result[label] = max_rel(analytic, numeric[key])

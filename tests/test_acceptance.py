@@ -176,7 +176,7 @@ def test_criterion_7_gradient_audit():
                        target_label_marginal=(0.8, 0.2), seed=2)
     src = sample(sc, "source", 16)
     tgt_raw = sample(sc, "target", 12)
-    tgt = SampleBatch(tgt_raw.xs, tgt_raw.ys, "target")
+    tgt = SampleBatch(tgt_raw.xs, tgt_raw.ys)
     st = CentroidState.empty(2, 4)
     rng = np.random.default_rng(3)
     st.source[:] = rng.normal(size=(2, 4))

@@ -112,8 +112,12 @@ class TestJointUpper:
         rng = np.random.default_rng(3)
         s, t = random_joint_pair(rng)
         l = LossTable(2.0 * rng.random(s.shape))
+        tail = TailParams("bounded", g=0.1)
         with pytest.raises(BoundInputError, match="smaller"):
-            joint_upper_bound(s, t, l, TailParams("bounded", g=0.1))
+            joint_upper_bound(s, t, l, tail)
+        for axis in ("x", "y"):
+            with pytest.raises(BoundInputError, match="smaller"):
+                decomposed_upper_bound(s, t, l, axis, tail)
 
     def test_printed_constant_fails_on_disjoint_point_masses(self):
         # gap 1 vs (1/sqrt2)sqrt(ln 2) = 0.589: the printed bound is not valid

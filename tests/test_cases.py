@@ -68,6 +68,6 @@ class TestSameSupportReweighting:
 def test_case_divergence_values_bases():
     from jsda.cases import case_divergence_values
 
-    vals_e = {v.kind: v.value for v in case_divergence_values("e")}
-    vals_2 = {v.kind: v.value for v in case_divergence_values("2")}
+    vals_e = dict(case_divergence_values("e"))
+    vals_2 = dict(case_divergence_values("2"))
     assert vals_2["JS"] == pytest.approx(vals_e["JS"] / math.log(2), abs=1e-12)

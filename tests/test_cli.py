@@ -168,11 +168,17 @@ class TestTrainCommands:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
-    def test_unknown_config_field_is_runtime_error(self, scenario_file, tmp_path):
+    # the last four are module constants of jsda.training, not config fields
+    @pytest.mark.parametrize("field, value", [
+        ("optimizer", "adam"), ("k", -10.0), ("kappa", 0.05),
+        ("centroid_momentum", 0.5), ("holdout_fraction", 0.2)])
+    def test_unknown_config_field_is_runtime_error(self, scenario_file, tmp_path,
+                                                   field, value, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epochs": 2, "optimizer": "adam"}))
+        cfg.write_text(json.dumps({"epochs": 2, field: value}))
         assert dispatch(["train", "--scenario", str(scenario_file),
                          "--config", str(cfg)]) == 1
+        assert f"unknown config fields ['{field}']" in capsys.readouterr().err
 
 
 class TestWriteReport:

@@ -34,7 +34,7 @@ def small_fixture(seed=1, ns=16, nt=12, h=6, f=4):
                        target_label_marginal=(0.8, 0.2), seed=seed + 1)
     src = sample(sc, "source", ns)
     tgt_raw = sample(sc, "target", nt)
-    tgt = SampleBatch(tgt_raw.xs, tgt_raw.ys, "target")
+    tgt = SampleBatch(tgt_raw.xs, tgt_raw.ys)
     st = CentroidState.empty(2, f)
     rng = np.random.default_rng(seed + 2)
     st.source[:] = rng.normal(size=(2, f))
@@ -61,9 +61,7 @@ class TestConfigAndInit:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", 0.0), ("learning_rate", -0.1),
         ("cond_multiplier", math.nan), ("n_source", 0), ("n_target", 0),
-        ("hidden_width", 0), ("feature_width", 0), ("feature_bins", 0),
-        ("holdout_fraction", math.nan), ("holdout_fraction", -0.1),
-        ("holdout_fraction", math.inf)])
+        ("hidden_width", 0), ("feature_width", 0), ("feature_bins", 0)])
     def test_config_that_cannot_train_is_rejected(self, field, value):
         with pytest.raises(TrainingError):
             TrainConfig(**{field: value})
@@ -95,7 +93,7 @@ class TestCompositeLoss:
     def test_identical_batches_zero_conditional_and_chance_adversarial(self):
         m, src, _, _, _, = small_fixture()
         st = CentroidState.empty(2, m.feature_width)
-        tgt = SampleBatch(src.xs, src.ys, "target")
+        tgt = SampleBatch(src.xs, src.ys)
         w = WeightVector(np.ones(2))
         zero_d = init_models(TrainConfig(hidden_width=6, feature_width=4,
                                          init_scale=0.0, seed=1), n_classes=2)
@@ -116,8 +114,8 @@ class TestCompositeLoss:
         # restrict both batches to class 0 and blank class-1 state
         keep_s = src.ys == 0
         keep_t = tgt.ys == 0
-        src0 = SampleBatch(src.xs[keep_s], src.ys[keep_s], "source")
-        tgt0 = SampleBatch(tgt.xs[keep_t], tgt.ys[keep_t], "target")
+        src0 = SampleBatch(src.xs[keep_s], src.ys[keep_s])
+        tgt0 = SampleBatch(tgt.xs[keep_t], tgt.ys[keep_t])
         st0 = CentroidState.empty(2, m.feature_width)
         parts, _, _ = loss_and_gradients(m, src0, tgt0, st0, w, lam0=0.0, lam1=1.0)
         # only class 0 contributes; it is finite and well-defined
@@ -148,10 +146,9 @@ class TestGradients:
     def test_discriminator_ascends_extractor_descends(self):
         m, src, tgt, st, w = small_fixture()
         lam0, lam1, lr = 0.8, 0.6, 0.01
-        _, g_adv, _ = loss_and_gradients(m, src, tgt, st, w, 1.0, 0.0, rho=0.5,
-                                         lam_source=0.0)
-        _, grads, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1, rho=0.5)
-        m2, _, _ = train_step(m, src, tgt, st, w, lam0, lam1, lr, rho=0.5)
+        _, g_adv, _ = loss_and_gradients(m, src, tgt, st, w, 1.0, 0.0, lam_source=0.0)
+        _, grads, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1)
+        m2, _, _ = train_step(m, src, tgt, st, w, lam0, lam1, lr)
         # d moves along +grad of the adversarial term
         assert np.allclose(m2.wd - m.wd, lr * lam0 * g_adv["wd"], atol=1e-12)
         # g moves along -grad of the combined objective
@@ -190,10 +187,10 @@ class TestGradients:
         assert parts1["weighted_source"] < parts0["weighted_source"]
 
     def test_centroid_momentum_commit(self):
+        from jsda.training import CENTROID_MOMENTUM as rho
         from jsda.training import features
         m, src, tgt, st, w = small_fixture()
-        rho = 0.5
-        _, _, st2 = loss_and_gradients(m, src, tgt, st, w, 0.0, 0.0, rho=rho)
+        _, _, st2 = loss_and_gradients(m, src, tgt, st, w, 0.0, 0.0)
         z_s, _ = features(m, src.xs)
         for y in (0, 1):
             idx = src.ys == y
