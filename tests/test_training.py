@@ -1,5 +1,7 @@
 """Trainer tests: init, loss terms, gradients, the loop, gating, ablation."""
 
+import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
@@ -43,6 +45,21 @@ def small_fixture(seed=1, ns=16, nt=12, h=6, f=4):
     st.target_counts[:] = 1
     w = WeightVector(np.array([1.6, 0.4]))
     return m, src, tgt, st, w
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for f in dataclasses.fields(trace):
+        value = getattr(trace, f.name)
+        h.update(f.name.encode())
+        if f.name == "model":
+            for name, arr in value.param_items():
+                h.update(name.encode())
+                h.update(arr.tobytes())
+        else:
+            for v in value:
+                h.update(np.asarray(v, dtype=float).tobytes())
+    return h.hexdigest()
 
 
 class TestConfigAndInit:
@@ -256,6 +273,35 @@ class TestTrainingLoop:
         assert run_training(sc, replace(cfg, seed=0)).target_accuracy[-1] == 0.956
         collapsed = run_training(sc, replace(cfg, seed=2115743642))
         assert collapsed.target_accuracy[-1] == 0.294
+
+    @pytest.mark.parametrize("case, digest", [
+        ("criterion-8 seed 0",
+         "cb58f186092a48a3cdf8714f94784ac5e5491c8e7e3dbfcf360ffd549e8ee910"),
+        ("criterion-8 seed 2115743642",
+         "6e6748c4e8db271551b5e42f041660d6c2ec0298da4b57e4c334d44f3b7ff6e9"),
+        ("3 classes, batch 4",
+         "95fc0e9ebed063ba1618bfbc0a369de24eddef319ddb2cc3d859fb0b945adb5e"),
+    ])
+    def test_trace_digest_pinned(self, case, digest):
+        """sha256 over every TrainTrace field and the final parameters, pinned.
+
+        Any change to the step's arithmetic, batch order or pseudo-label refresh
+        moves some bit of the trace; a rewrite of the step must keep all three.
+        """
+        if case.startswith("criterion-8"):
+            sc = make_scenario("conditional-shift", rotation_deg=40.0, cov_scale=1.2,
+                               source_label_marginal=(0.5, 0.5),
+                               target_label_marginal=(0.8, 0.2), seed=3)
+            cfg = TrainConfig(epochs=60, n_source=1500, n_target=1500,
+                              cond_multiplier=12.0, learning_rate=0.03,
+                              seed=int(case.rsplit(" ", 1)[1]))
+        else:
+            sc = make_scenario("label-shift", n_classes=3,
+                               source_label_marginal=(0.4, 0.4, 0.2),
+                               target_label_marginal=(0.7, 0.2, 0.1), seed=4)
+            cfg = TrainConfig(epochs=6, n_source=120, n_target=90, batch_size=4,
+                              seed=1)
+        assert trace_digest(run_training(sc, cfg)) == digest
 
     def test_lambda_schedule_shape(self):
         assert lambda_schedule(0.0) == pytest.approx(0.0, abs=1e-12)
