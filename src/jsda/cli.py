@@ -140,8 +140,8 @@ def _load_config(path: str | None, seed: int) -> TrainConfig:
     if path:
         with open(path) as f:
             raw = json.load(f)
-    if "principles" in raw:
-        raw["principles"] = frozenset(raw["principles"])
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
     raw.setdefault("seed", seed)
     known = {f.name for f in dataclass_fields(TrainConfig)}
     unknown = set(raw) - known

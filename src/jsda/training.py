@@ -14,7 +14,10 @@ objective combines
 
 One forward and one backward pass per step give the gradient of the
 weighted objective; the gradient audit checks each term alone by switching
-the other terms' weights off.
+the other terms' weights off. The step treats every class of both domains
+at once: one weighted bincount sums each class's features, masks blend the
+sums with the stored centroids, and one row gather scatters the term-II
+gradient back; only the scalar loss walks the active classes in Python.
 
 Training alternates epochs of gradient steps with a pseudo-label refresh
 that re-estimates target labels, their distribution, and the black-box shift
@@ -32,6 +35,7 @@ GRAD_CHECK_STEP.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -90,7 +94,24 @@ class TrainConfig:
     feature_bins: int = 24
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "principles", frozenset(self.principles))
+        for name in ("epochs", "batch_size", "seed", "hidden_width", "feature_width",
+                     "n_source", "n_target", "feature_bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TrainingError(f"{name} must be an integer, not {value!r}")
+        for name in ("learning_rate", "cond_multiplier", "init_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TrainingError(f"{name} must be a real number, not {value!r}")
+        if not isinstance(self.track_feature_shift, bool):
+            raise TrainingError("track_feature_shift must be true or false")
+        try:
+            names = None if isinstance(self.principles, str) else frozenset(self.principles)
+        except TypeError:  # not iterable, or holding unhashable items
+            names = None
+        if names is None:
+            raise TrainingError("principles must be a collection of principle names")
+        object.__setattr__(self, "principles", names)
         if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate > 0:  # NaN fails too
             raise TrainingError("epochs, batch_size, learning_rate must be positive")
         for name in ("n_source", "n_target", "hidden_width", "feature_width", "feature_bins"):
@@ -193,29 +214,12 @@ def predict_labels(m: ModelParams, xs: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(u))  # never overflows
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(u: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, u)
-
-
-def _effective_centroid(stored: np.ndarray, count: int, batch_mean: np.ndarray | None,
-                        ) -> tuple[np.ndarray | None, float]:
-    """(centroid used in the loss, gradient coefficient on the batch mean)."""
-    if batch_mean is not None:
-        if count > 0:
-            rho = CENTROID_MOMENTUM
-            return rho * stored + (1.0 - rho) * batch_mean, 1.0 - rho
-        return batch_mean, 1.0
-    if count > 0:
-        return stored.copy(), 0.0
-    return None, 0.0
 
 
 def loss_and_gradients(
@@ -233,15 +237,20 @@ def loss_and_gradients(
     Term II is evaluated at the would-be-updated centroids (momentum blend of
     the stored value and the batch mean), so its gradient flows through the
     current batch; a class missing from one domain's batch falls back to that
-    domain's stored centroid, and a class with neither is skipped.
+    domain's stored centroid, and a class with neither is skipped. All classes
+    of both domains go at once: row ``y`` of the stacked centroid arrays is
+    source class ``y`` and row ``n_classes + y`` is target class ``y``.
     """
     n_classes = m.n_classes
     ns, nt = len(src), len(tgt)
+    lab = np.concatenate((src.ys, tgt.ys))
+    if lab.size and (np.minimum.reduce(lab) < 0 or np.maximum.reduce(lab) >= n_classes):
+        raise TrainingError(f"labels must lie in [0, {n_classes})")
+    lab[ns:] += n_classes  # row y: source class y; row n_classes + y: target class y
     xs = np.concatenate((src.xs, tgt.xs))
     z, a = features(m, xs)
-    z_s, z_t = z[:ns], z[ns:]
-    dz = np.zeros_like(z)
-    dz_s, dz_t = dz[:ns], dz[ns:]
+    z_s = z[:ns]
+    dz = np.zeros(z.shape)
 
     if class_weights is None:
         s_hat = np.bincount(src.ys, minlength=n_classes) / ns
@@ -250,55 +259,58 @@ def loss_and_gradients(
 
     # term I: reweighted cross-entropy on the source batch
     logits = class_logits(m, z_s)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
+    total = np.add.reduce(e, axis=1, keepdims=True)
     alpha = w.alpha[src.ys]
-    t1 = float(-np.mean(alpha * (shifted - np.log(total))[np.arange(ns), src.ys]))
+    rows = np.arange(ns)
+    t1 = float(-(np.add.reduce(alpha * (shifted - np.log(total))[rows, src.ys]) / ns))
     dlogits = e / total  # the softmax
-    dlogits[np.arange(ns), src.ys] -= 1.0
+    dlogits[rows, src.ys] -= 1.0
     dlogits *= (lam_source * alpha / ns)[:, None]
-    dz_s += dlogits @ m.wh
+    dz[:ns] += dlogits @ m.wh
 
-    # term II: weighted squared centroid distances
-    new_st = st.copy()
+    # term II: weighted squared centroid distances; bincount adds each class's
+    # rows in order, so its sums equal the per-class z[idx].sum(axis=0)
+    width = z.shape[1]
+    counts = np.bincount(lab, minlength=2 * n_classes)
+    sums = np.bincount((lab[:, None] * width + np.arange(width)).ravel(),
+                       weights=z.ravel(), minlength=2 * n_classes * width)
+    n_rows = np.maximum(counts, 1)
+    mean = sums.reshape(-1, width) / n_rows[:, None]
+    stored = np.concatenate((st.source, st.target))
+    seen = np.concatenate((st.source_counts, st.target_counts)) > 0
+    present = counts > 0
+    rho = CENTROID_MOMENTUM
+    blend = np.where(seen[:, None], rho * stored + (1.0 - rho) * mean, mean)
+    mu = np.where(present[:, None], blend, stored)
+    gain = np.where(present, np.where(seen, 1.0 - rho, 1.0), 0.0)  # d mu / d mean
+    new_st = CentroidState(mu[:n_classes], mu[n_classes:],
+                           st.source_counts + present[:n_classes],
+                           st.target_counts + present[n_classes:])
+    known = present | seen
+    active = known[:n_classes] & known[n_classes:]
+    diff = mu[:n_classes] - mu[n_classes:]
     t2 = 0.0
-    for y in range(n_classes):
-        idx_s = np.flatnonzero(src.ys == y)
-        idx_t = np.flatnonzero(tgt.ys == y)
-        mean_s = z_s[idx_s].mean(axis=0) if idx_s.size else None
-        mean_t = z_t[idx_t].mean(axis=0) if idx_t.size else None
-        mu_s, coef_s = _effective_centroid(st.source[y], st.source_counts[y], mean_s)
-        mu_t, coef_t = _effective_centroid(st.target[y], st.target_counts[y], mean_t)
-        if mu_s is not None and idx_s.size:
-            new_st.source[y] = mu_s
-            new_st.source_counts[y] += 1
-        if mu_t is not None and idx_t.size:
-            new_st.target[y] = mu_t
-            new_st.target_counts[y] += 1
-        if mu_s is None or mu_t is None:
-            continue
-        diff = mu_s - mu_t
-        t2 += class_weights[y] * float(diff @ diff)
-        scale = 2.0 * lam1 * class_weights[y]
-        if idx_s.size:
-            dz_s[idx_s] += scale * coef_s / idx_s.size * diff
-        if idx_t.size:
-            dz_t[idx_t] -= scale * coef_t / idx_t.size * diff
+    for y in active.nonzero()[0]:
+        t2 += class_weights[y] * float(diff[y] @ diff[y])
+    scale = 2.0 * lam1 * np.where(active, class_weights, 0.0)
+    step = np.concatenate((scale, -scale)) * gain / n_rows
+    dz += (step[:, None] * np.concatenate((diff, diff)))[lab]
 
     # term III: adversarial estimate of the feature-marginal divergence
     u = z @ m.wd + m.bd[0]
-    u_s, u_t = u[:ns], u[ns:]
-    radv = float(-np.mean(_softplus(-u_s)) - np.mean(_softplus(u_t)))
+    radv = float(-(np.add.reduce(_softplus(-u[:ns])) / ns)
+                 - np.add.reduce(_softplus(u[ns:])) / nt)
     sig = _sigmoid(u)
     coef = lam0 * np.concatenate(((1.0 - sig[:ns]) / ns, -sig[ns:] / nt))
     dz += coef[:, None] * m.wd
 
     da = (dz @ m.w2) * (1.0 - a * a)
-    grads = {"w1": da.T @ xs, "b1": da.sum(axis=0),
-             "w2": dz.T @ a, "b2": dz.sum(axis=0),
-             "wh": dlogits.T @ z_s, "bh": dlogits.sum(axis=0),
-             "wd": coef @ z, "bd": np.array([coef.sum()])}
+    grads = {"w1": da.T @ xs, "b1": np.add.reduce(da),
+             "w2": dz.T @ a, "b2": np.add.reduce(dz),
+             "wh": dlogits.T @ z_s, "bh": np.add.reduce(dlogits),
+             "wd": coef @ z, "bd": np.add.reduce(coef, keepdims=True)}
     breakdown = {"weighted_source": t1, "conditional": t2, "adversarial": radv,
                  "js_estimate": (radv + LOG4) / 2.0,
                  "total": lam_source * t1 + lam1 * t2 + lam0 * radv}
@@ -320,13 +332,13 @@ def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
     for term, value in breakdown.items():
         if not math.isfinite(value):
             raise TrainingError(f"non-finite loss in term {term!r}")
-    out = m.copy()
-    for name, arr in out.param_items():
+    out = {}
+    for name, arr in m.param_items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient in {name}")
-        arr += (lr if name in ("wd", "bd") else -lr) * g
-    return out, new_st, breakdown
+        out[name] = arr + (lr if name in ("wd", "bd") else -lr) * g
+    return ModelParams(**out), new_st, breakdown
 
 
 def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
@@ -459,15 +471,15 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
 
         rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
         order_s = rng.permutation(n_src)
-        order_t = rng.permutation(n_tgt)
+        # the target order wraps around so that every source row has a partner
+        order_t = np.take(rng.permutation(n_tgt), np.arange(n_src), mode="wrap")
+        s_xs, s_ys = src_xs[order_s], src_ys[order_s]
+        t_xs, t_ys = tgt_all.xs[order_t], pseudo[order_t]
         terms = {"weighted_source": [], "conditional": [], "js_estimate": []}
-        n_batches = math.ceil(n_src / cfg.batch_size)
-        for b in range(n_batches):
-            bs = order_s[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            start = (b * cfg.batch_size) % n_tgt
-            bt = np.take(order_t, np.arange(start, start + bs.size), mode="wrap")
-            src_batch = SampleBatch(src_xs[bs], src_ys[bs])
-            tgt_batch = SampleBatch(tgt_all.xs[bt], pseudo[bt])
+        for lo in range(0, n_src, cfg.batch_size):
+            hi = lo + cfg.batch_size
+            src_batch = SampleBatch(s_xs[lo:hi], s_ys[lo:hi])
+            tgt_batch = SampleBatch(t_xs[lo:hi], t_ys[lo:hi])
             m, st, breakdown = train_step(
                 m, src_batch, tgt_batch, st, w, lam0, lam1, cfg.learning_rate,
                 class_weights=class_weights)

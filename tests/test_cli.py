@@ -168,6 +168,16 @@ class TestTrainCommands:
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"epochs": "3"}', '{"batch_size": 1.5}', "[]"])
+    def test_config_of_wrong_type_is_one_line_error(self, scenario_file, tmp_path,
+                                                    text, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert dispatch(["train", "--scenario", str(scenario_file),
+                         "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     # the last four are module constants of jsda.training, not config fields
     @pytest.mark.parametrize("field, value", [
         ("optimizer", "adam"), ("k", -10.0), ("kappa", 0.05),

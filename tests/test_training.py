@@ -24,7 +24,13 @@ from jsda import (
     train_step,
 )
 from jsda.scenarios import SampleBatch
-from jsda.training import TrainingError, ablate
+from jsda.training import (
+    CENTROID_MOMENTUM,
+    TrainingError,
+    _sigmoid,
+    ablate,
+    features,
+)
 
 LOG4 = 2 * math.log(2.0)
 
@@ -78,7 +84,12 @@ class TestConfigAndInit:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", math.nan), ("learning_rate", 0.0), ("learning_rate", -0.1),
         ("cond_multiplier", math.nan), ("n_source", 0), ("n_target", 0),
-        ("hidden_width", 0), ("feature_width", 0), ("feature_bins", 0)])
+        ("hidden_width", 0), ("feature_width", 0), ("feature_bins", 0),
+        # values of the wrong type
+        ("epochs", "3"), ("epochs", True), ("batch_size", 1.5), ("seed", None),
+        ("n_source", 2000.0), ("learning_rate", "0.05"), ("cond_multiplier", True),
+        ("init_scale", None), ("track_feature_shift", 1), ("principles", "III"),
+        ("principles", 3), ("principles", [["I"]])])
     def test_config_that_cannot_train_is_rejected(self, field, value):
         with pytest.raises(TrainingError):
             TrainConfig(**{field: value})
@@ -143,6 +154,130 @@ class TestCompositeLoss:
         assert math.isfinite(parts["conditional"])
         assert st1.source_counts[1] == 1
         assert st1.target_counts[1] == 0
+
+    @pytest.mark.parametrize("batch, label", [("source", -1), ("target", 5),
+                                              ("target", -2), ("source", 2)])
+    def test_label_outside_the_classes_raises(self, batch, label):
+        m, src, tgt, st, w = small_fixture()
+        ys = (src if batch == "source" else tgt).ys.copy()
+        ys[0] = label
+        if batch == "source":
+            src = SampleBatch(src.xs, ys)
+        else:
+            tgt = SampleBatch(tgt.xs, ys)
+        with pytest.raises(TrainingError, match="labels"):
+            loss_and_gradients(m, src, tgt, st, w, 0.5, 0.5,
+                               class_weights=np.array([0.9, 1.1]))
+        with pytest.raises(TrainingError, match="labels"):
+            train_step(m, src, tgt, st, w, 0.5, 0.5, 0.1,
+                       class_weights=np.array([0.9, 1.1]))
+
+
+def masked_sigmoid(u):
+    """The two-branch sigmoid the trainer used before its single-pass form."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    e = np.exp(u[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def per_class_term_ii(z_s, z_t, ys_s, ys_t, st, class_weights, lam1):
+    """Term II one class at a time, as the trainer computed it before batching.
+
+    Returns the loss, the committed centroids and the feature gradient.
+    """
+    rho = CENTROID_MOMENTUM
+
+    def effective(stored, count, batch_mean):
+        if batch_mean is not None:
+            if count > 0:
+                return rho * stored + (1.0 - rho) * batch_mean, 1.0 - rho
+            return batch_mean, 1.0
+        return (stored.copy(), 0.0) if count > 0 else (None, 0.0)
+
+    dz = np.zeros((len(ys_s) + len(ys_t), z_s.shape[1]))
+    dz_s, dz_t = dz[:len(ys_s)], dz[len(ys_s):]
+    new_st = st.copy()
+    t2 = 0.0
+    for y in range(len(class_weights)):
+        idx_s = np.flatnonzero(ys_s == y)
+        idx_t = np.flatnonzero(ys_t == y)
+        mean_s = z_s[idx_s].mean(axis=0) if idx_s.size else None
+        mean_t = z_t[idx_t].mean(axis=0) if idx_t.size else None
+        mu_s, coef_s = effective(st.source[y], st.source_counts[y], mean_s)
+        mu_t, coef_t = effective(st.target[y], st.target_counts[y], mean_t)
+        if idx_s.size:
+            new_st.source[y] = mu_s
+            new_st.source_counts[y] += 1
+        if idx_t.size:
+            new_st.target[y] = mu_t
+            new_st.target_counts[y] += 1
+        if mu_s is None or mu_t is None:
+            continue
+        diff = mu_s - mu_t
+        t2 += class_weights[y] * float(diff @ diff)
+        scale = 2.0 * lam1 * class_weights[y]
+        if idx_s.size:
+            dz_s[idx_s] += scale * coef_s / idx_s.size * diff
+        if idx_t.size:
+            dz_t[idx_t] -= scale * coef_t / idx_t.size * diff
+    return t2, new_st, dz
+
+
+class TestClassBatchedStepOracle:
+    """The class-batched step against the per-class loop and the masked sigmoid, with ==."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("stored", ["zero", "positive", "mixed"])
+    @pytest.mark.parametrize("absent", ["none", "source", "target", "both"])
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    def test_term_ii_equals_per_class_loop(self, n_classes, absent, stored, seed):
+        rng = np.random.default_rng([n_classes, len(absent), len(stored), seed])
+        f = 4
+        m = init_models(TrainConfig(hidden_width=6, feature_width=f, seed=seed),
+                        n_classes=n_classes)
+        gone = int(rng.integers(n_classes))
+        classes_s = [y for y in range(n_classes) if absent not in ("source", "both")
+                     or y != gone]
+        classes_t = [y for y in range(n_classes) if absent not in ("target", "both")
+                     or y != gone]
+        ns, nt = int(rng.integers(3, 40)), int(rng.integers(3, 40))
+        src = SampleBatch(rng.normal(size=(ns, 2)), rng.choice(classes_s, ns))
+        tgt = SampleBatch(rng.normal(size=(nt, 2)), rng.choice(classes_t, nt))
+        st = CentroidState.empty(n_classes, f)
+        st.source[:] = rng.normal(size=(n_classes, f))
+        st.target[:] = rng.normal(size=(n_classes, f))
+        if stored != "zero":
+            low = 0 if stored == "mixed" else 1
+            st.source_counts[:] = rng.integers(low, 4, n_classes)
+            st.target_counts[:] = rng.integers(low, 4, n_classes)
+        w = WeightVector(rng.uniform(0.2, 2.0, n_classes))
+        class_weights = rng.uniform(0.1, 1.5, n_classes)
+        lam1 = float(rng.uniform(0.1, 3.0))
+        # terms I and III off, so the gradient is term II's alone
+        parts, grads, new_st = loss_and_gradients(
+            m, src, tgt, st, w, 0.0, lam1, class_weights, lam_source=0.0)
+
+        z, a = features(m, np.concatenate((src.xs, tgt.xs)))
+        t2, ref_st, dz = per_class_term_ii(z[:ns], z[ns:], src.ys, tgt.ys, st,
+                                           class_weights, lam1)
+        assert parts["conditional"] == t2
+        for name in ("source", "target", "source_counts", "target_counts"):
+            assert np.array_equal(getattr(new_st, name), getattr(ref_st, name)), name
+        assert np.array_equal(grads["b2"], np.add.reduce(dz))
+        assert np.array_equal(grads["w2"], dz.T @ a)
+        da = (dz @ m.w2) * (1.0 - a * a)
+        assert np.array_equal(grads["w1"], da.T @ np.concatenate((src.xs, tgt.xs)))
+
+    def test_sigmoid_equals_masked_sigmoid(self):
+        special = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.nan])
+        u = np.concatenate((special, np.random.default_rng(0).normal(0, 30, 2000)))
+        got, want = _sigmoid(u), masked_sigmoid(u)
+        nan = np.isnan(u)
+        assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(want), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestGradients:
