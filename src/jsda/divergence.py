@@ -141,7 +141,9 @@ def _exact_prefix_sums(masses: list[float]) -> np.ndarray:
     """``[0, m0, m0 + m1, ...]``, each prefix its exact sum correctly rounded."""
     ratios = [m.as_integer_ratio() for m in masses]
     d = max(b for _, b in ratios)
-    return np.array([0.0, *(n / d for n in accumulate(a * (d // b) for a, b in ratios))])
+    top = d.bit_length()  # each b is a power of two, so a * (d // b) is a shift of a
+    sums = accumulate(a << top - b.bit_length() for a, b in ratios)
+    return np.array([0.0, *(n / d for n in sums)])
 
 
 def h_divergence_1d(p: Pmf, q: Pmf) -> float:
@@ -156,21 +158,23 @@ def h_divergence_1d(p: Pmf, q: Pmf) -> float:
     between adjacent floats, and t = +inf realises split n, so the sweep
     reads all n + 1 splits (split 0 has err 0.5).
 
-    The cumulative masses are exact: each float is an integer over a power of
-    two, so over the largest denominator the numerators add exactly as ints,
-    and one correctly rounded ``int / int`` per prefix gives the bits
-    ``float(Fraction)`` would. One sort and one array pass: O(n log n).
+    Each side sums its own sorted atoms exactly, in a sort plus integer work
+    linear in its atoms: each float is an integer over a power of two, so the
+    numerators, shifted to the largest denominator, add exactly as ints, and
+    one correctly rounded ``int / int`` per prefix gives ``float(Fraction)``'s
+    bits. One O(n log n) merge then reads both sides' prefixes at each split.
     """
-    def as_points(d: Pmf) -> dict[float, float]:
+    def side(d: Pmf) -> tuple[np.ndarray, np.ndarray]:
         pts: dict[float, float] = {}
         for c, m in zip(d.coords, d.probs.tolist()):
             pts[c] = pts.get(c, 0.0) + m
-        return pts
+        coords = sorted(pts)
+        return np.array(coords), _exact_prefix_sums([pts[c] for c in coords])
 
-    pp, qq = as_points(p), as_points(q)
-    coords = sorted(set(pp) | set(qq))
-    p_cum = _exact_prefix_sums([pp.get(c, 0.0) for c in coords])
-    q_cum = _exact_prefix_sums([qq.get(c, 0.0) for c in coords])
+    (pc, p_side), (qc, q_side) = side(p), side(q)
+    coords = np.union1d(pc, qc)
+    p_cum = np.append(p_side[np.searchsorted(pc, coords, side="left")], p_side[-1])
+    q_cum = np.append(q_side[np.searchsorted(qc, coords, side="left")], q_side[-1])
     # labeling A: h_t says "first distribution" below t
     err_a = 0.5 * (1.0 - p_cum) + 0.5 * q_cum
     return 1.0 - 2.0 * float(min(err_a.min(), (1.0 - err_a).min()))

@@ -277,7 +277,7 @@ def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
     if grid < 2:
         raise ScenarioError("grid must be at least 2x2")
     centers, _ = _grid_centers(sc, grid)
-    x_atoms = tuple((float(c[0]), float(c[1])) for c in centers)
+    x_atoms = tuple(map(tuple, centers.tolist()))
     y_atoms = tuple(range(sc.n_classes))
     if sc.kind == "cofeature" and domain == "target":
         source_mass = _mixture_cell_mass(sc, "source", centers)
