@@ -74,13 +74,17 @@ def h_divergence_fraction_sweep(p, q):
     return 1.0 - 2.0 * best
 
 
-def random_points(rng, pool):
-    """A Pmf on points drawn from pool (ties likely, merged into one atom), some masses zero."""
+def random_points(rng, pool, subnormal=False):
+    """A Pmf on points drawn from pool (ties likely, merged into one atom), some masses zero
+    and, with ``subnormal``, some of the zero masses made subnormal."""
     n = int(rng.integers(1, 25))
     probs = rng.random(n) * (rng.random(n) < 0.7)
     probs[int(rng.integers(n))] += 0.1
+    probs /= math.fsum(probs.tolist())
+    if subnormal:
+        probs[(probs == 0.0) & (rng.random(n) < 0.5)] = 5e-324 * float(rng.integers(1, 9))
     pts = {}
-    for c, m in zip(rng.choice(pool, n).tolist(), (probs / math.fsum(probs.tolist())).tolist()):
+    for c, m in zip(rng.choice(pool, n).tolist(), probs.tolist()):
         pts[c] = pts.get(c, 0.0) + m
     return Pmf(tuple(pts), np.array(list(pts.values())))
 
@@ -290,6 +294,18 @@ class TestThresholdDivergence:
             p, q = random_points(rng, pool), random_points(rng, pool)
             assert h_divergence_1d(p, q) == h_divergence_rescan(p, q)
             assert h_divergence_1d(q, p) == h_divergence_rescan(q, p)
+        big = math.nextafter(1e308, 0.0)
+        pools = [  # (first side's pool, second side's pool)
+            ([2**53, 2**53 + 1],) * 2,  # distinct int atoms, all on one float
+            ([2**53 + k for k in range(-2, 6)],) * 2,  # ints sharing floats, and their neighbours
+            ([0.0, 5e-324, -5e-324, 1.0], [-0.0, 5e-324, -5e-324, 1.0]),  # 0.0 here, -0.0 there
+            ([1e308, -1e308, big, -big, 1.7e308, 0.0],) * 2,
+        ]
+        for trial in range(400):
+            p_pool, q_pool = pools[trial % len(pools)]
+            p, q = random_points(rng, p_pool, True), random_points(rng, q_pool, True)
+            assert h_divergence_1d(p, q) == h_divergence_rescan(p, q)
+            assert h_divergence_1d(q, p) == h_divergence_rescan(q, p)
 
     def test_exact_prefix_sums_equal_fraction_oracle(self):
         rng = np.random.default_rng(23)
@@ -348,6 +364,36 @@ class TestThresholdProperties:
         assume(all(abs(a) <= 1e307 for a in p.atoms + q.atoms))
         p2, q2 = (Pmf(tuple(2.0 * a for a in d.atoms), d.probs) for d in pair)
         assert h_divergence_1d(p2, q2) == h_divergence_1d(p, q)
+
+
+# h_divergence_1d returns max_k |P_k - Q_k| over the sides' prefix masses, and in exact
+# arithmetic that is at most TV/2 + |T_p - T_q|/2 for side totals T. In u = 2**-53 (half an
+# ulp of 1.0), the roundings between it and half_total_variation add up to less than 10u:
+# - point_pairs divides by a rounded fsum, so each total is within 2u of 1: 2u;
+# - each side's prefix sum is correctly rounded and at most 1 + 2u: 2u;
+# - err = 0.5 * (1 - P) + 0.5 * Q rounds 1 - P (at most 1) by u/2, halved, and the sum (below
+#   2) by u, and 1 - 2 * min(err, 1 - err) doubles both: 2.5u; 1 - err is exact (Sterbenz)
+#   wherever it is the min, and the final subtraction (below 2) rounds by u: 3.5u;
+# - half_total_variation rounds each |p - q| and their fsum, relative u each: 2u + O(u**2).
+TV_SLACK = Fraction(10, 2**53)
+
+
+class TestPairProperties:
+    """The TV bound on the threshold kernel and the JS kernel's exact contracts. One test
+    checks all three, as drawing a pair costs most of a property's time."""
+
+    @PROPERTY_SETTINGS
+    @given(point_pairs())
+    def test_h_below_half_tv_js_symmetric_and_one_on_disjoint_supports(self, pair):
+        p, q = pair
+        assert Fraction(h_divergence_1d(p, q)) <= Fraction(half_total_variation(p, q)) + TV_SLACK
+        for base in ("e", "2"):
+            assert js_divergence(p, q, base).hex() == js_divergence(q, p, base).hex()
+        # on disjoint supports each mass's term is m * log2(2 m / m) = m exactly, so the
+        # base-2 JS is the mean of the two fsums: exactly 1.0 where both are
+        p, q = (Pmf(tuple((side, a) for a in d.atoms), d.probs) for side, d in enumerate(pair))
+        if math.fsum(p.probs.tolist()) == math.fsum(q.probs.tolist()) == 1.0:
+            assert js_divergence(p, q, "2") == 1.0
 
 
 class TestConditionalFamily:
