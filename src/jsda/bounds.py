@@ -147,7 +147,7 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
         extras={"source_risk": r_s, "joint_js_nats": js})
 
 
-def _check_risk(value: float, what: str) -> None:
+def _check_nonnegative(value: float, what: str) -> None:
     if not 0.0 <= value < math.inf:  # NaN fails too
         raise BoundInputError(f"{what} must be finite and >= 0")
 
@@ -179,7 +179,7 @@ def risk_band_from_values(r_s: float, js_nats: float) -> BoundReport:
     """The zero-one band evaluated from already-known (R_S, JS) values."""
     if not js_nats >= 0:
         raise BoundInputError("negative divergence")
-    _check_risk(r_s, "source risk")
+    _check_nonnegative(r_s, "source risk")
     lo, hi = _band_limits(r_s, math.sqrt(js_nats))
     return BoundReport(
         name="zero_one_band", lhs=r_s, bound_lo=lo, bound_hi=hi,
@@ -301,9 +301,9 @@ def open_set_band(r_s: float, alpha: float, delta: float,
         raise BoundInputError("overlap fraction alpha must lie in (0, 1]")
     if not delta >= 0.0:
         raise BoundInputError("conditional-shift level delta must be >= 0")
-    _check_risk(r_s, "source risk")
+    _check_nonnegative(r_s, "source risk")
     if r_t is not None:
-        _check_risk(r_t, "target risk")
+        _check_nonnegative(r_t, "target risk")
     width = math.sqrt(1.0 - alpha) + 2.0 * math.sqrt(delta)
     lo, hi = _band_limits(r_s, width)
     return BoundReport(
@@ -373,6 +373,8 @@ def prediction_gap_lower_bound(s_y: Pmf, t_y: Pmf, s_pred: Pmf, t_pred: Pmf,
     (sqrt(P) - sqrt(eps1) - sqrt(eps2))^2, clamped at zero. Supply the
     measured feature JS to verify a full pipeline.
     """
+    if observed_feature_js is not None:
+        _check_nonnegative(observed_feature_js, "observed feature JS")
     p = js_divergence(t_y, t_pred, "e")
     eps1 = js_divergence(s_y, s_pred, "e")
     eps2 = js_divergence(s_y, t_y, "e")

@@ -56,8 +56,15 @@ def _check_total(values: list[float], what: str = "probabilities sum") -> None:
         raise DistributionError(f"{what} to {total!r}, not 1")
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _freeze(a, dtype=float) -> np.ndarray:
+    """``a`` as a read-only C-contiguous ``dtype`` array, uncopied if it is one already
+    over memory nothing can write (a read-only view of a writable array is copied)."""
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if owner is None and a.dtype == dtype and a.flags.c_contiguous:
+        return a
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 

@@ -29,7 +29,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .pmf import JointPmf
+from .pmf import JointPmf, _freeze
 
 Domain = Literal["source", "target"]
 
@@ -59,10 +59,9 @@ class ShiftScenario:
     def __post_init__(self) -> None:
         for name in ("source_means", "source_covs", "target_means", "target_covs",
                      "source_label_marginal", "target_label_marginal"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _freeze(getattr(self, name))
             if not np.isfinite(arr).all():
                 raise ScenarioError(f"{name} must be finite")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         k = self.n_classes
         if k < 2:
@@ -122,12 +121,9 @@ class SampleBatch:
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        xs = np.array(self.xs, dtype=float)
-        ys = np.array(self.ys, dtype=int)
+        xs, ys = _freeze(self.xs), _freeze(self.ys, int)
         if xs.ndim != 2 or xs.shape[1] != 2 or ys.shape != (xs.shape[0],):
             raise ScenarioError("batch arrays misaligned")
-        xs.setflags(write=False)
-        ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

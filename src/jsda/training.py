@@ -475,6 +475,8 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
         order_t = np.take(rng.permutation(n_tgt), np.arange(n_src), mode="wrap")
         s_xs, s_ys = src_xs[order_s], src_ys[order_s]
         t_xs, t_ys = tgt_all.xs[order_t], pseudo[order_t]
+        for gathered in (s_xs, s_ys, t_xs, t_ys):  # so the batches slice them uncopied
+            gathered.setflags(write=False)
         terms = {"weighted_source": [], "conditional": [], "js_estimate": []}
         for lo in range(0, n_src, cfg.batch_size):
             hi = lo + cfg.batch_size

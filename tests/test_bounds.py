@@ -442,6 +442,12 @@ class TestPredictionGapLowerBound:
         assert r.extras["p_nats"] == 0.0
         assert r.bound_lo == 0.0
 
+    @pytest.mark.parametrize("observed", [math.nan, -0.1, math.inf])
+    def test_observed_feature_js_must_be_finite_and_nonnegative(self, observed):
+        s_y = Pmf((0, 1), np.array([0.9, 0.1]))
+        with pytest.raises(BoundInputError, match="observed feature JS"):
+            prediction_gap_lower_bound(s_y, s_y, s_y, s_y, observed_feature_js=observed)
+
     def test_pipeline_suite_clean(self):
         assert not violations(run_suite("prediction-gap", 500, seed=19))
 

@@ -21,7 +21,8 @@ from jsda import (
     midpoint_classifier,
     sample,
 )
-from jsda.scenarios import ScenarioError, _grid_centers, _mixture_cell_mass, bounding_box
+from jsda.scenarios import (SampleBatch, ScenarioError, _grid_centers, _mixture_cell_mass,
+                            bounding_box)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,6 +134,28 @@ class TestSampling:
         sc = make_scenario("conditional-shift")
         with pytest.raises(ScenarioError):
             sample(sc, "source", 0)
+
+
+class TestSampleBatch:
+    def test_keeps_read_only_slices_uncopied(self):
+        xs, ys = np.zeros((8, 2)), np.arange(8)
+        xs.setflags(write=False)
+        ys.setflags(write=False)
+        batch = SampleBatch(xs[2:6], ys[2:6])
+        assert np.shares_memory(batch.xs, xs) and np.shares_memory(batch.ys, ys)
+
+    def test_copies_what_the_caller_can_write(self):
+        xs, ys = np.zeros((8, 2)), np.arange(8)
+        frozen_view = xs[2:6]
+        frozen_view.setflags(write=False)  # read-only, but xs can still change it
+        batches = [SampleBatch(xs, ys), SampleBatch(frozen_view, ys[2:6]),
+                   SampleBatch(xs.astype(np.float32), ys.astype(np.int32))]
+        for batch in batches:
+            assert not np.shares_memory(batch.xs, xs) and not np.shares_memory(batch.ys, ys)
+            assert not batch.xs.flags.writeable and not batch.ys.flags.writeable
+            assert batch.xs.dtype == np.float64 and batch.ys.dtype == np.int64
+        xs[:] = 1.0
+        assert not any(batch.xs.any() for batch in batches)
 
 
 class TestDiscretization:
