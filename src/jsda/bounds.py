@@ -7,6 +7,10 @@ upper bound comes from a sub-Gaussian moment-generating-function argument
 that only closes under natural logarithms. Where a base-2 restatement is
 useful (the intrinsic-error bound) it is attached to ``extras``.
 
+Every scalar argument (a risk, a divergence, a tail constant) must be finite
+and >= 0, or the call raises ``BoundInputError``; the overlap fraction alpha
+must also lie in (0, 1].
+
 The four verifiers built on the marginal-plus-conditional split take their
 conditional families from one core, ``_conditional_terms``, which holds the
 rules they share: identical supports, and a ``BoundInputError`` for an atom
@@ -52,6 +56,11 @@ class BoundInputError(ValueError):
     """Inputs violate a bound's hypotheses or shapes."""
 
 
+def _check_nonnegative(value: float, what: str) -> None:
+    if not 0.0 <= value < math.inf:  # NaN fails too
+        raise BoundInputError(f"{what} must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class TailParams:
     """Loss tail description selecting the upper-bound variant.
@@ -67,14 +76,11 @@ class TailParams:
     a: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.variant == "bounded" and not self.g >= 0:
-            raise BoundInputError("bounded variant needs loss range g >= 0")
-        if self.variant == "subgaussian" and not self.sigma >= 0:
-            raise BoundInputError("subgaussian variant needs sigma >= 0")
-        if self.variant == "subgamma" and not (self.sigma >= 0 and self.a >= 0):
-            raise BoundInputError("subgamma variant needs sigma >= 0 and a >= 0")
         if self.variant not in ("bounded", "subgaussian", "subgamma"):
             raise BoundInputError(f"unknown tail variant {self.variant!r}")
+        _check_nonnegative(self.g, "loss range g")
+        _check_nonnegative(self.sigma, "sigma")
+        _check_nonnegative(self.a, "a")
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,6 @@ class BoundReport:
     lhs: float
     bound_lo: float = -math.inf
     bound_hi: float = math.inf
-    inputs_digest: str = ""
     extras: Mapping[str, float] = field(default_factory=dict)
     slack_lo: float = field(init=False)
     slack_hi: float = field(init=False)
@@ -100,12 +105,6 @@ class BoundReport:
     def to_row(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "bound_lo": self.bound_lo,
                 "bound_hi": self.bound_hi, "holds": self.holds}
-
-
-def _joint_digest(s: JointPmf, t: JointPmf, g: float | None = None) -> str:
-    nx, ny = s.shape
-    core = f"|X|={nx},|Y|={ny}"
-    return core if g is None else f"{core},G={g:.4g}"
 
 
 def _gap_term(tail: TailParams, js_nats: float) -> float:
@@ -143,13 +142,7 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     hi = r_s + _gap_term(tail, js)
     return BoundReport(
         name=f"joint_upper_{tail.variant}", lhs=r_t, bound_hi=hi,
-        inputs_digest=_joint_digest(s, t, l.range_g),
         extras={"source_risk": r_s, "joint_js_nats": js})
-
-
-def _check_nonnegative(value: float, what: str) -> None:
-    if not 0.0 <= value < math.inf:  # NaN fails too
-        raise BoundInputError(f"{what} must be finite and >= 0")
 
 
 def _band_limits(r_s: float, width: float) -> tuple[float, float]:
@@ -171,19 +164,16 @@ def zero_one_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundReport:
     lo, hi = _band_limits(r_s, math.sqrt(js))
     return BoundReport(
         name="zero_one_band", lhs=r_t, bound_lo=lo, bound_hi=hi,
-        inputs_digest=_joint_digest(s, t, 1.0),
         extras={"source_risk": r_s, "joint_js_nats": js})
 
 
 def risk_band_from_values(r_s: float, js_nats: float) -> BoundReport:
     """The zero-one band evaluated from already-known (R_S, JS) values."""
-    if not js_nats >= 0:
-        raise BoundInputError("negative divergence")
+    _check_nonnegative(js_nats, "JS divergence")
     _check_nonnegative(r_s, "source risk")
     lo, hi = _band_limits(r_s, math.sqrt(js_nats))
     return BoundReport(
-        name="zero_one_band", lhs=r_s, bound_lo=lo, bound_hi=hi,
-        inputs_digest=f"R_S={r_s:.4g},JS={js_nats:.4g}")
+        name="zero_one_band", lhs=r_s, bound_lo=lo, bound_hi=hi)
 
 
 @lru_cache(maxsize=2)
@@ -252,7 +242,6 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     decomposition_slack = marg_js + cond_js - joint_js
     return BoundReport(
         name=f"decomposed_upper_{axis}", lhs=r_t, bound_hi=r_s + gap,
-        inputs_digest=_joint_digest(s, t, l.range_g),
         extras={"source_risk": r_s, "joint_js_nats": joint_js,
                 "marginal_js_nats": marg_js, "conditional_js_nats": cond_js,
                 "decomposition_slack": decomposition_slack,
@@ -281,7 +270,6 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
                + math.sqrt(delta1 / ln2) / 2.0 * math.log2(n_labels))
     return BoundReport(
         name="intrinsic_error_upper", lhs=lhs, bound_hi=hi,
-        inputs_digest=_joint_digest(s, t),
         extras={"eps_nats": eps, "delta1_nats": delta1, "delta2_nats": delta2,
                 "lhs_bits": lhs / ln2, "bound_hi_bits": hi_bits})
 
@@ -299,8 +287,7 @@ def open_set_band(r_s: float, alpha: float, delta: float,
     """
     if not 0.0 < alpha <= 1.0:
         raise BoundInputError("overlap fraction alpha must lie in (0, 1]")
-    if not delta >= 0.0:
-        raise BoundInputError("conditional-shift level delta must be >= 0")
+    _check_nonnegative(delta, "conditional-shift level delta")
     _check_nonnegative(r_s, "source risk")
     if r_t is not None:
         _check_nonnegative(r_t, "target risk")
@@ -308,7 +295,6 @@ def open_set_band(r_s: float, alpha: float, delta: float,
     lo, hi = _band_limits(r_s, width)
     return BoundReport(
         name="open_set_band", lhs=r_s if r_t is None else r_t, bound_lo=lo, bound_hi=hi,
-        inputs_digest=f"alpha={alpha:.4g},delta={delta:.4g}",
         extras={"source_risk": r_s, "band_width_term": width})
 
 
@@ -360,7 +346,6 @@ def matched_conditional_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundRep
     return BoundReport(
         name="matched_conditional_band", lhs=r_t,
         bound_lo=r_s - width, bound_hi=r_s + width,
-        inputs_digest=_joint_digest(s, t, 1.0),
         extras={"source_risk": r_s, "label_js_nats": label_js})
 
 
@@ -383,7 +368,6 @@ def prediction_gap_lower_bound(s_y: Pmf, t_y: Pmf, s_pred: Pmf, t_pred: Pmf,
     lhs = lo if observed_feature_js is None else observed_feature_js
     return BoundReport(
         name="prediction_gap_lower", lhs=lhs, bound_lo=lo,
-        inputs_digest=f"|Y|={len(s_y)}",
         extras={"p_nats": p, "eps1_nats": eps1, "eps2_nats": eps2})
 
 
@@ -394,8 +378,8 @@ def label_conditional_floor(js_label_nats: float, js_feature_nats: float) -> flo
     marginals have been matched; shrinking the feature JS with a fixed label
     JS raises it.
     """
-    if not js_label_nats >= 0 or not js_feature_nats >= 0:
-        raise BoundInputError("divergences must be nonnegative")
+    _check_nonnegative(js_label_nats, "label JS")
+    _check_nonnegative(js_feature_nats, "feature JS")
     root = math.sqrt(js_label_nats) - math.sqrt(js_feature_nats)
     return 2.0 * max(0.0, root) ** 2
 
@@ -414,7 +398,6 @@ def conditional_shift_lower_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     lo = label_conditional_floor(label_js, marg_js)
     return BoundReport(
         name="conditional_shift_lower", lhs=cond_sum, bound_lo=lo,
-        inputs_digest=_joint_digest(s, t),
         extras={"label_js_nats": label_js, "feature_js_nats": marg_js})
 
 

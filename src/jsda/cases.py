@@ -35,10 +35,7 @@ class CaseReport:
     verdict: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        ok = all(abs(self.computed[k] - v) <= tol
-                 for k, (v, tol) in self.expected.items())
-        ok = ok and all(self.checks.values())
-        object.__setattr__(self, "verdict", bool(ok))
+        object.__setattr__(self, "verdict", all(row["ok"] for row in self.rows()))
 
     def rows(self) -> list[dict]:
         out = []

@@ -102,12 +102,9 @@ def _decomposition_instance(axis: str) -> Callable:
         chain = BoundReport(
             name=f"decomposition_chain_{axis}",
             lhs=split.extras["joint_js_nats"],
-            bound_hi=split.extras["marginal_js_nats"] + split.extras["conditional_js_nats"],
-            inputs_digest=split.inputs_digest)
-        dominates = BoundReport(
-            name=f"decomposition_dominates_{axis}",
-            lhs=joint.bound_hi, bound_hi=split.bound_hi,
-            inputs_digest=split.inputs_digest)
+            bound_hi=split.extras["marginal_js_nats"] + split.extras["conditional_js_nats"])
+        dominates = BoundReport(name=f"decomposition_dominates_{axis}",
+                                lhs=joint.bound_hi, bound_hi=split.bound_hi)
         return [split, chain, dominates]
     return gen
 
@@ -162,8 +159,7 @@ def _pinsker_instance(rng) -> list[BoundReport]:
     q = random_pmf(rng, n=len(p))
     kl = kl_divergence(p, q, "e")
     return [BoundReport(name="pinsker", lhs=total_variation(p, q),
-                        bound_hi=math.sqrt(2.0 * kl),
-                        inputs_digest=f"n={len(p)}")]
+                        bound_hi=math.sqrt(2.0 * kl))]
 
 
 def _sandwich_instance(rng) -> list[BoundReport]:
@@ -171,16 +167,14 @@ def _sandwich_instance(rng) -> list[BoundReport]:
     q = random_pmf(rng, n=len(p))
     tv = half_total_variation(p, q)
     return [BoundReport(name="js_tv_sandwich", lhs=js_divergence(p, q, "e"),
-                        bound_lo=0.5 * tv * tv, bound_hi=tv,
-                        inputs_digest=f"n={len(p)}")]
+                        bound_lo=0.5 * tv * tv, bound_hi=tv)]
 
 
 def _triangle_instance(rng) -> list[BoundReport]:
     n = int(rng.integers(2, 11))
     p, q, r = (random_pmf(rng, n=n) for _ in range(3))
     return [BoundReport(name="js_distance_triangle", lhs=js_distance(p, r),
-                        bound_hi=js_distance(p, q) + js_distance(q, r),
-                        inputs_digest=f"n={n}")]
+                        bound_hi=js_distance(p, q) + js_distance(q, r))]
 
 
 def _data_processing_instance(rng) -> list[BoundReport]:
@@ -192,12 +186,11 @@ def _data_processing_instance(rng) -> list[BoundReport]:
     mapping = dict(zip(p.atoms, table.tolist()))
     push_p = pushforward(p, mapping.__getitem__)
     push_q = pushforward(q, mapping.__getitem__)
-    digest = f"n={n},k={k}"
     return [
         BoundReport(name="data_processing_js", lhs=js_divergence(push_p, push_q, "e"),
-                    bound_hi=js_divergence(p, q, "e"), inputs_digest=digest),
+                    bound_hi=js_divergence(p, q, "e")),
         BoundReport(name="data_processing_kl", lhs=kl_divergence(push_p, push_q, "e"),
-                    bound_hi=kl_divergence(p, q, "e"), inputs_digest=digest),
+                    bound_hi=kl_divergence(p, q, "e")),
     ]
 
 

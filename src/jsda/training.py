@@ -43,7 +43,7 @@ import numpy as np
 
 from .bounds import label_conditional_floor
 from .divergence import js_divergence
-from .labelshift import ConfusionMatrix, WeightVector, bbsl_weights, confusion_matrix
+from .labelshift import WeightVector, bbsl_weights, confusion_matrix
 from .pmf import Pmf
 from .scenarios import SampleBatch, ShiftScenario, sample
 
@@ -343,7 +343,7 @@ def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
 
 def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
                       holdout: tuple[np.ndarray, np.ndarray], n_classes: int,
-                      ) -> tuple[np.ndarray, Pmf, WeightVector, ConfusionMatrix]:
+                      ) -> tuple[np.ndarray, Pmf, WeightVector]:
     """Refresh pseudo-labels, their distribution, and the shift weights.
 
     Pseudo-labels are the classifier argmax on the target set; the weights
@@ -356,7 +356,7 @@ def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
     hold_xs, hold_ys = holdout
     cm = confusion_matrix(predict_labels(m, hold_xs), hold_ys, n_classes=n_classes)
     alpha = bbsl_weights(cm, t_p)
-    return labels, Pmf(tuple(range(n_classes)), t_p / t_p.sum()), alpha, cm
+    return labels, Pmf(tuple(range(n_classes)), t_p / t_p.sum()), alpha
 
 
 def lambda_schedule(progress: float) -> float:
@@ -459,7 +459,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
     unit = WeightVector(np.ones(sc.n_classes))
     s_hat = np.bincount(src_ys, minlength=sc.n_classes) / src_ys.size
 
-    pseudo, t_p, alpha_hat, _ = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
+    pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
     n_src, n_tgt = src_ys.size, len(tgt_all)
     for epoch in range(cfg.epochs):
         progress = epoch / max(1, cfg.epochs - 1)
@@ -489,8 +489,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
             terms["conditional"].append(breakdown["conditional"])
             terms["js_estimate"].append(breakdown["js_estimate"])
 
-        pseudo, t_p, alpha_hat, _ = pseudo_label_step(m, tgt_all.xs, holdout,
-                                                      sc.n_classes)
+        pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
         # disabled principles report an exact zero in their trace column
         js_est = (float(np.mean(terms["js_estimate"]))
                   if "III" in cfg.principles else 0.0)

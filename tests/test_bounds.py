@@ -65,6 +65,10 @@ class TestReportInvariants:
             TailParams("subgaussian", sigma=-1.0)
         with pytest.raises(BoundInputError):
             TailParams("nonsense")  # type: ignore[arg-type]
+        for name in ("g", "sigma", "a"):
+            for bad in (math.nan, -0.1, math.inf, -math.inf):
+                with pytest.raises(BoundInputError, match=f"{name} must be finite and >= 0"):
+                    TailParams(**{name: bad})
 
 
 class TestJointUpper:
@@ -145,8 +149,8 @@ class TestZeroOneBand:
         r = risk_band_from_values(0.2, 2e-4)
         assert r.bound_lo == pytest.approx(0.186, abs=5e-4)
         assert r.bound_hi == pytest.approx(0.21, abs=5e-4)
-        for js in (-1e-3, math.nan):
-            with pytest.raises(BoundInputError, match="negative divergence"):
+        for js in (-1e-3, math.nan, math.inf):
+            with pytest.raises(BoundInputError, match="JS divergence must be finite and >= 0"):
                 risk_band_from_values(0.2, js)
         for r_s in (math.nan, -0.1, math.inf):
             with pytest.raises(BoundInputError, match="source risk must be finite and >= 0"):
@@ -341,8 +345,6 @@ class TestOpenSet:
             open_set_band(0.3, alpha=1.2, delta=0.0)
         with pytest.raises(BoundInputError, match="alpha"):
             open_set_band(0.3, alpha=math.nan, delta=0.0)
-        with pytest.raises(BoundInputError, match="delta must be >= 0"):
-            open_set_band(0.3, alpha=0.5, delta=math.nan)
 
     def test_non_finite_or_negative_risk(self):
         for bad in (math.nan, -0.1, math.inf):
@@ -350,6 +352,8 @@ class TestOpenSet:
                 open_set_band(bad, alpha=0.5, delta=0.0)
             with pytest.raises(BoundInputError, match="target risk must be finite and >= 0"):
                 open_set_band(0.3, alpha=0.5, delta=0.0, r_t=bad)
+            with pytest.raises(BoundInputError, match="delta must be finite and >= 0"):
+                open_set_band(0.3, alpha=0.5, delta=bad)
 
     def test_label_pair_js_stays_below_one_minus_alpha(self):
         for n, alpha in ((10, 0.5), (8, 0.25), (12, 0.75)):
@@ -482,8 +486,9 @@ class TestConditionalShiftLowerBound:
     def test_floor_formula(self):
         assert label_conditional_floor(0.09, 0.0) == pytest.approx(0.18, abs=1e-12)
         assert label_conditional_floor(0.01, 0.04) == 0.0
-        for args in ((math.nan, 0.1), (0.1, math.nan), (-1e-3, 0.1)):
-            with pytest.raises(BoundInputError, match="nonnegative"):
+        for args in ((math.nan, 0.1), (0.1, math.nan), (-1e-3, 0.1),
+                     (math.inf, 0.1), (0.1, math.inf), (math.inf, math.inf)):
+            with pytest.raises(BoundInputError, match="JS must be finite and >= 0"):
                 label_conditional_floor(*args)
 
     def test_randomized_suite_clean(self):
@@ -566,7 +571,7 @@ def test_grid_analysis_digest_pinned():
         for call in _grid_verifiers(*_grid_pair(kind)):
             h.update(_outcome(call).encode() + b"\n")
     assert h.hexdigest() == (
-        "7949a4b2681860a7b9d2682ea0cbb656e7d28fae910e1f1c2485482697404bf5")
+        "c88e49a5e4a9dfde83a503aad356b0f83fbcc799bb235043e580e0d3be82a5e9")
 
 
 def _sparse_joint(rng, nx, ny):

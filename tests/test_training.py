@@ -366,7 +366,7 @@ class TestPseudoLabels:
         sc = make_scenario("label-shift", target_label_marginal=(0.8, 0.2), seed=1)
         tgt = sample(sc, "target", 200)
         hold = sample(sc, "source", 100, stream=(9,))
-        labels, t_p, alpha, _ = pseudo_label_step(m, tgt.xs, (hold.xs, hold.ys), 2)
+        labels, t_p, alpha = pseudo_label_step(m, tgt.xs, (hold.xs, hold.ys), 2)
         # all-zero logits break ties at class 0
         assert np.all(labels == 0)
         assert t_p.probs[0] == 1.0
