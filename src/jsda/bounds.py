@@ -4,8 +4,7 @@ Each function computes one bound together with the exactly-computed quantity
 it constrains, and returns a :class:`BoundReport` whose ``holds`` verdict is
 decided at tolerance 1e-9. All bound arithmetic is in nats: the bounded-loss
 upper bound comes from a sub-Gaussian moment-generating-function argument
-that only closes under natural logarithms. Where a base-2 restatement is
-useful (the intrinsic-error bound) it is attached to ``extras``.
+that only closes under natural logarithms.
 
 Every scalar argument (a risk, a divergence, a tail constant) must be finite
 and >= 0, or the call raises ``BoundInputError``; the overlap fraction alpha
@@ -228,24 +227,22 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
 
     axis="x" splits into feature-marginal shift and label-conditional shift;
     axis="y" into label-marginal shift and per-class feature-conditional
-    shift. ``extras`` records the chain-rule check
-    marginal + conditional >= joint JS, which the decomposition rests on.
-    Caution: the chain rule holds, but the bounded gap keeps joint-upper's
-    G/sqrt(2) constant, so the bound fails wherever that constant is too tight.
+    shift. ``extras`` holds the three JS terms (joint, marginal,
+    conditional); the chain rule marginal + conditional >= joint JS that the
+    decomposition rests on is checked by the decomposition suites' own
+    ``decomposition_chain_{axis}`` row. Caution: the chain rule holds, but
+    the bounded gap keeps joint-upper's G/sqrt(2) constant, so the bound
+    fails wherever that constant is too tight.
     """
     tail = _loss_tail(l, tail)
     marg_js, cond_js = _marginal_js(s, t, axis), _conditional_shift(s, t, axis)
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
-    joint_js = _joint_js(s, t)
     gap = _gap_term(tail, marg_js) + _gap_term(tail, cond_js)
-    decomposition_slack = marg_js + cond_js - joint_js
     return BoundReport(
         name=f"decomposed_upper_{axis}", lhs=r_t, bound_hi=r_s + gap,
-        extras={"source_risk": r_s, "joint_js_nats": joint_js,
-                "marginal_js_nats": marg_js, "conditional_js_nats": cond_js,
-                "decomposition_slack": decomposition_slack,
-                "decomposition_holds": float(decomposition_slack >= -VERDICT_TOL)})
+        extras={"source_risk": r_s, "joint_js_nats": _joint_js(s, t),
+                "marginal_js_nats": marg_js, "conditional_js_nats": cond_js})
 
 
 def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
@@ -254,9 +251,8 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     Uses the tightest admissible constants: eps = H(Y_s|X_s), delta1 = the
     X-marginal JS, delta2 = the max over shared x of the conditional JS, all
     in nats; the claimed bound is eps + sqrt(delta2/2) +
-    (sqrt(delta1)/2) log|Y|. A base-2 restatement is in ``extras``.
-    This inequality can genuinely fail near deterministic conditionals; the
-    report then says so.
+    (sqrt(delta1)/2) log|Y|. This inequality can genuinely fail near
+    deterministic conditionals; the report then says so.
     """
     s_side, t_side, js = _conditional_terms(s, t, "y|x")
     delta2 = float(js.max())
@@ -265,13 +261,9 @@ def intrinsic_error_upper_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     lhs = _conditional_entropy(*t_side)
     n_labels = len(s.y_atoms)
     hi = eps + math.sqrt(delta2 / 2.0) + math.sqrt(delta1) / 2.0 * math.log(n_labels)
-    ln2 = math.log(2.0)
-    hi_bits = (eps / ln2 + math.sqrt(delta2 / ln2 / 2.0)
-               + math.sqrt(delta1 / ln2) / 2.0 * math.log2(n_labels))
     return BoundReport(
         name="intrinsic_error_upper", lhs=lhs, bound_hi=hi,
-        extras={"eps_nats": eps, "delta1_nats": delta1, "delta2_nats": delta2,
-                "lhs_bits": lhs / ln2, "bound_hi_bits": hi_bits})
+        extras={"eps_nats": eps, "delta1_nats": delta1, "delta2_nats": delta2})
 
 
 def open_set_band(r_s: float, alpha: float, delta: float,
@@ -412,6 +404,8 @@ def reweighted_convergence_check(scenario, n_grid: Sequence[int],
     and median gap and the median of gap*sqrt(n); no rate constant is
     asserted, only reported.
     """
+    if repeats < 1:
+        raise BoundInputError("the convergence check needs at least one repeat")
     w_vec, b = midpoint_classifier(scenario)
     r_t = linear_zero_one_risk(scenario, "target", w_vec, b)
     weights = WeightVector(_true_label_ratio(scenario))

@@ -39,11 +39,10 @@ def _json_ready(v):
     return float(f"{v:.6g}")
 
 
-def write_report(rows: list[dict], fmt: str, path: str | None,
-                 columns: list[str] | None = None) -> None:
-    """Emit rows as CSV or JSON with a stable column order and 6 significant digits."""
-    if columns is None:
-        columns = list(rows[0].keys()) if rows else []
+def write_report(rows: list[dict], fmt: str, path: str | None) -> None:
+    """Emit rows as CSV or JSON with 6 significant digits; the columns are the
+    keys of the first row, in its order."""
+    columns = list(rows[0])
     if fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row.get(c, "")) for c in columns) for row in rows]
@@ -64,9 +63,7 @@ def _cmd_counterexamples(args) -> int:
     reports = [cases.counterexample1(args.xi, tol_override=args.tol),
                cases.counterexample2(tol_override=args.tol)]
     rows = [r for rep in reports for r in rep.rows()]
-    write_report(rows, args.format, args.out,
-                 columns=["case", "quantity", "computed", "expected",
-                          "tolerance", "ok"])
+    write_report(rows, args.format, args.out)
     if args.base is not None:
         for kind, value in cases.case_divergence_values(args.base):
             print(json.dumps({"kind": kind, "base": args.base, "value": value}))
@@ -83,8 +80,7 @@ def _cmd_verify_bounds(args) -> int:
         reports = suites.run_suite(name, args.trials, args.seed)
         bad += len(suites.violations(reports))
         all_rows.extend(r.to_row() for r in reports)
-    write_report(all_rows, args.format, args.out,
-                 columns=["name", "lhs", "bound_lo", "bound_hi", "holds"])
+    write_report(all_rows, args.format, args.out)
     print(f"# {len(all_rows)} reports, {bad} violation(s)")
     return 0 if bad == 0 else 1
 
@@ -96,8 +92,7 @@ def _cmd_label_shift(args) -> int:
              "true_alpha": float(result["true_alpha"][i]),
              "estimated_alpha": float(result["estimated_alpha"][i])}
             for i in range(sc.n_classes)]
-    write_report(rows, args.format, args.out,
-                 columns=["class", "true_alpha", "estimated_alpha"])
+    write_report(rows, args.format, args.out)
     print(f"# sup error {_fmt(result['sup_error'])}, "
           f"source accuracy {_fmt(result['source_accuracy'])}, "
           f"method {result['method']}")
@@ -121,7 +116,7 @@ def _cmd_scenario(args) -> int:
         batch = sample(sc, args.domain, args.n, stream=(args.seed,))
         rows = [{"x0": float(x[0]), "x1": float(x[1]), "y": int(y)}
                 for x, y in zip(batch.xs, batch.ys)]
-        write_report(rows, args.format, args.out, columns=["x0", "x1", "y"])
+        write_report(rows, args.format, args.out)
         return 0
     if args.action == "discretize":
         joint = discretize(sc, args.domain, grid=args.grid)
@@ -163,8 +158,7 @@ def _cmd_ablate(args) -> int:
     sc = ShiftScenario.load(args.scenario)
     cfg = _load_config(args.config, args.seed)
     rows = ablate(sc, cfg, seeds=list(range(args.seeds)))
-    write_report(rows, args.format, args.out,
-                 columns=["principles", "mean_accuracy", "std_accuracy", "n_seeds"])
+    write_report(rows, args.format, args.out)
     return 0
 
 

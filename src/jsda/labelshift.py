@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .pmf import Pmf
+from .pmf import Pmf, _freeze
 from .scenarios import midpoint_classifier, sample
 
 CONDITION_LIMIT = 1e8
@@ -36,14 +36,12 @@ class ConfusionMatrix:
     c: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.c, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        object.__setattr__(self, "c", _freeze(self.c))
+        if self.c.ndim != 2 or self.c.shape[0] != self.c.shape[1]:
             raise LabelShiftError("confusion matrix must be square")
-        if np.any(c < 0):
+        if np.any(self.c < 0):
             raise LabelShiftError("confusion matrix entries must be >= 0")
-        if abs(float(c.sum()) - 1.0) > 1e-9:
+        if abs(float(self.c.sum()) - 1.0) > 1e-9:
             raise LabelShiftError("confusion matrix must sum to 1")
 
     @property
@@ -65,9 +63,8 @@ class WeightVector:
     clipped: bool = False
 
     def __post_init__(self) -> None:
-        a = np.array(self.alpha, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "alpha", _freeze(self.alpha))
+        a = self.alpha
         if a.ndim != 1 or np.any(a < 0) or not np.all(np.isfinite(a)):
             raise LabelShiftError("weights must be finite, nonnegative, 1-D")
 

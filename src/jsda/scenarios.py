@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
@@ -41,6 +42,11 @@ BOX_SIGMAS = 4.0  # the discretization box reaches mean +- BOX_SIGMAS sd per axi
 
 class ScenarioError(ValueError):
     pass
+
+
+def _check_integer(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(f"{name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,8 @@ class ShiftScenario:
             if not np.isfinite(arr).all():
                 raise ScenarioError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
+        _check_integer(self.n_classes, "n_classes")
+        _check_integer(self.seed, "seed")
         k = self.n_classes
         if k < 2:
             raise ScenarioError("need at least two classes")
@@ -96,14 +104,14 @@ class ShiftScenario:
     @staticmethod
     def from_json_dict(d: dict) -> "ShiftScenario":
         return ShiftScenario(
-            kind=d["kind"], n_classes=int(d["n_classes"]),
+            kind=d["kind"], n_classes=d["n_classes"],
             source_means=np.asarray(d["source_means"]),
             source_covs=np.asarray(d["source_covs"]),
             target_means=np.asarray(d["target_means"]),
             target_covs=np.asarray(d["target_covs"]),
             source_label_marginal=np.asarray(d["source_label_marginal"]),
             target_label_marginal=np.asarray(d["target_label_marginal"]),
-            overlap_alpha=d.get("overlap_alpha"), seed=int(d.get("seed", 0)))
+            overlap_alpha=d.get("overlap_alpha"), seed=d.get("seed", 0))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -152,6 +160,9 @@ def make_scenario(kind: str, *, n_classes: int = 2,
                   alpha: float | None = None,
                   seed: int = 0) -> ShiftScenario:
     """Build a scenario of the requested kind (see module docstring)."""
+    _check_integer(n_classes, "n_classes")
+    if n is not None:
+        _check_integer(n, "n")
     if kind == "open-set":
         if n is None or alpha is None:
             raise ScenarioError("open-set needs n (classes per domain) and alpha")
@@ -236,13 +247,12 @@ def bounding_box(sc: ShiftScenario) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _grid_centers(sc: ShiftScenario, grid: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_centers(sc: ShiftScenario, grid: int) -> np.ndarray:
     lo, hi = bounding_box(sc)
     step = (hi - lo) / grid
     cx = lo[0] + step[0] * (np.arange(grid) + 0.5)
     cy = lo[1] + step[1] * (np.arange(grid) + 0.5)
-    centers = np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
-    return centers, step
+    return np.stack(np.meshgrid(cx, cy, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _mixture_cell_mass(sc: ShiftScenario, domain: Domain,
@@ -272,7 +282,7 @@ def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
     """
     if grid < 2:
         raise ScenarioError("grid must be at least 2x2")
-    centers, _ = _grid_centers(sc, grid)
+    centers = _grid_centers(sc, grid)
     x_atoms = tuple(map(tuple, centers.tolist()))
     y_atoms = tuple(range(sc.n_classes))
     if sc.kind == "cofeature" and domain == "target":

@@ -145,9 +145,6 @@ class ModelParams:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2),
                 ("wh", self.wh), ("bh", self.bh), ("wd", self.wd), ("bd", self.bd)]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(**{k: v.copy() for k, v in self.param_items()})
-
     @property
     def hidden_width(self) -> int:
         return self.w1.shape[0]
@@ -179,23 +176,22 @@ def init_models(cfg: TrainConfig, n_classes: int = 2) -> ModelParams:
 
 @dataclass
 class CentroidState:
-    """Per-class moving-average feature centroids; count 0 = uninitialized."""
+    """Per-class moving-average feature centroids of both domains, stacked.
 
-    source: np.ndarray
-    target: np.ndarray
-    source_counts: np.ndarray
-    target_counts: np.ndarray
+    Row ``y`` of ``mu`` (2C x F) and of ``counts`` (2C) is source class ``y``
+    and row ``C + y`` is target class ``y``; count 0 = uninitialized.
+    """
+
+    mu: np.ndarray
+    counts: np.ndarray
 
     @staticmethod
     def empty(n_classes: int, feature_width: int) -> "CentroidState":
-        return CentroidState(np.zeros((n_classes, feature_width)),
-                             np.zeros((n_classes, feature_width)),
-                             np.zeros(n_classes, dtype=int),
-                             np.zeros(n_classes, dtype=int))
+        return CentroidState(np.zeros((2 * n_classes, feature_width)),
+                             np.zeros(2 * n_classes, dtype=int))
 
     def copy(self) -> "CentroidState":
-        return CentroidState(self.source.copy(), self.target.copy(),
-                             self.source_counts.copy(), self.target_counts.copy())
+        return CentroidState(self.mu.copy(), self.counts.copy())
 
 
 def features(m: ModelParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,8 +234,7 @@ def loss_and_gradients(
     the stored value and the batch mean), so its gradient flows through the
     current batch; a class missing from one domain's batch falls back to that
     domain's stored centroid, and a class with neither is skipped. All classes
-    of both domains go at once: row ``y`` of the stacked centroid arrays is
-    source class ``y`` and row ``n_classes + y`` is target class ``y``.
+    of both domains go at once, in the row layout of :class:`CentroidState`.
     """
     n_classes = m.n_classes
     ns, nt = len(src), len(tgt)
@@ -278,16 +273,13 @@ def loss_and_gradients(
                        weights=z.ravel(), minlength=2 * n_classes * width)
     n_rows = np.maximum(counts, 1)
     mean = sums.reshape(-1, width) / n_rows[:, None]
-    stored = np.concatenate((st.source, st.target))
-    seen = np.concatenate((st.source_counts, st.target_counts)) > 0
+    seen = st.counts > 0
     present = counts > 0
     rho = CENTROID_MOMENTUM
-    blend = np.where(seen[:, None], rho * stored + (1.0 - rho) * mean, mean)
-    mu = np.where(present[:, None], blend, stored)
+    blend = np.where(seen[:, None], rho * st.mu + (1.0 - rho) * mean, mean)
+    mu = np.where(present[:, None], blend, st.mu)
     gain = np.where(present, np.where(seen, 1.0 - rho, 1.0), 0.0)  # d mu / d mean
-    new_st = CentroidState(mu[:n_classes], mu[n_classes:],
-                           st.source_counts + present[:n_classes],
-                           st.target_counts + present[n_classes:])
+    new_st = CentroidState(mu, st.counts + present)
     known = present | seen
     active = known[:n_classes] & known[n_classes:]
     diff = mu[:n_classes] - mu[n_classes:]
@@ -477,7 +469,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
         t_xs, t_ys = tgt_all.xs[order_t], pseudo[order_t]
         for gathered in (s_xs, s_ys, t_xs, t_ys):  # so the batches slice them uncopied
             gathered.setflags(write=False)
-        terms = {"weighted_source": [], "conditional": [], "js_estimate": []}
+        breakdowns = []
         for lo in range(0, n_src, cfg.batch_size):
             hi = lo + cfg.batch_size
             src_batch = SampleBatch(s_xs[lo:hi], s_ys[lo:hi])
@@ -485,22 +477,19 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
             m, st, breakdown = train_step(
                 m, src_batch, tgt_batch, st, w, lam0, lam1, cfg.learning_rate,
                 class_weights=class_weights)
-            terms["weighted_source"].append(breakdown["weighted_source"])
-            terms["conditional"].append(breakdown["conditional"])
-            terms["js_estimate"].append(breakdown["js_estimate"])
+            breakdowns.append(breakdown)
+        mean = {term: float(np.mean([b[term] for b in breakdowns])) for term in breakdowns[0]}
 
         pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
         # disabled principles report an exact zero in their trace column
-        js_est = (float(np.mean(terms["js_estimate"]))
-                  if "III" in cfg.principles else 0.0)
-        trace.weighted_source_loss.append(float(np.mean(terms["weighted_source"])))
-        trace.conditional_loss.append(float(np.mean(terms["conditional"]))
-                                      if "II" in cfg.principles else 0.0)
+        js_est = mean["js_estimate"] if "III" in cfg.principles else 0.0
+        trace.weighted_source_loss.append(mean["weighted_source"])
+        trace.conditional_loss.append(mean["conditional"] if "II" in cfg.principles else 0.0)
         trace.adversarial_js.append(js_est)
         trace.target_accuracy.append(float(np.mean(pseudo == tgt_all.ys)))
-        trace.alpha_hat.append(alpha_hat.alpha.copy())
-        trace.alpha_used.append(w.alpha.copy())
-        trace.t_p_hat.append(t_p.probs.copy())
+        trace.alpha_hat.append(alpha_hat.alpha)
+        trace.alpha_used.append(w.alpha)
+        trace.t_p_hat.append(t_p.probs)
         trace.lam0.append(lam0)
         trace.lam1.append(lam1)
         trace.kappa_ok.append(js_est <= KAPPA)
@@ -574,6 +563,8 @@ def ablate(sc: ShiftScenario, cfg: TrainConfig,
     Rows come back in the canonical table order (marginal-only baseline
     first, then the two-principle subsets, then all three).
     """
+    if not seeds:
+        raise TrainingError("ablate needs at least one seed")
     if subsets is None:
         subsets = [("III",), ("I", "III"), ("I", "II"), ("II", "III"),
                    ("I", "II", "III")]

@@ -179,10 +179,9 @@ def test_criterion_7_gradient_audit():
     tgt = SampleBatch(tgt_raw.xs, tgt_raw.ys)
     st = CentroidState.empty(2, 4)
     rng = np.random.default_rng(3)
-    st.source[:] = rng.normal(size=(2, 4))
-    st.target[:] = rng.normal(size=(2, 4))
-    st.source_counts[:] = 1
-    st.target_counts[:] = 1
+    st.mu[:2] = rng.normal(size=(2, 4))
+    st.mu[2:] = rng.normal(size=(2, 4))
+    st.counts[:] = 1
     w = WeightVector(np.array([1.6, 0.4]))
     errs = grad_check(m, src, tgt, st, w, lam0=0.7, lam1=0.9)
     elapsed = time.perf_counter() - t0

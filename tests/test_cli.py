@@ -123,6 +123,14 @@ class TestScenarioCommands:
         assert dispatch(["label-shift", "--scenario", str(bad), "--n", "400"]) == 1
         assert "source_means must be finite" in capsys.readouterr().err
 
+    def test_non_integral_scenario_count_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "sc.json"
+        assert dispatch(["scenario", "make", "--kind", "open-set", "--params",
+                         json.dumps({"n": 2.0, "alpha": 0.5}), "--out", str(path)]) == 1
+        assert capsys.readouterr().err == "error: n must be an integer, not 2.0\n"
+        assert not path.exists()
+
+
 class TestTrainCommands:
     def test_train_and_ablate(self, scenario_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -143,6 +151,12 @@ class TestTrainCommands:
         assert rows[0] == "principles,mean_accuracy,std_accuracy,n_seeds"
         names = [r.split(",")[0] for r in rows[1:]]
         assert names == ["III", "I+III", "I+II", "II+III", "I+II+III"]
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_ablate_without_seeds_is_one_line_error(self, scenario_file, seeds, capsys):
+        assert dispatch(["ablate", "--scenario", str(scenario_file), "--seeds", seeds]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ablate needs at least one seed\n"
 
     def test_train_tracks_feature_shift(self, scenario_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -192,11 +206,6 @@ class TestTrainCommands:
 
 
 class TestWriteReport:
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        write_report([], "csv", str(path), columns=["a", "b"])
-        assert path.read_text() == "a,b\n"
-
     def test_six_significant_digits(self, tmp_path):
         path = tmp_path / "r.csv"
         write_report([{"x": 0.123456789, "y": 1e-12}], "csv", str(path))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsda import (
     DistributionError,
@@ -335,3 +337,30 @@ def test_joint_json_round_trip():
     assert back.x_atoms == j.x_atoms
     assert back.y_atoms == j.y_atoms
     assert np.array_equal(back.mass, j.mass)
+
+
+@st.composite
+def grids_with_non_finite_cells(draw):
+    """A valid joint mass grid, and a copy with NaN or ±inf in one or more drawn cells."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    mass = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(1e-3, 1.0, (rows, cols))
+    mass /= math.fsum(mass.ravel().tolist())
+    bad = mass.copy()
+    for i in draw(st.sets(st.integers(0, bad.size - 1), min_size=1)):
+        bad.flat[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return mass, bad
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(grids_with_non_finite_cells())
+def test_non_finite_entries_rejected_in_any_position(grids):
+    mass, bad = grids
+    x_atoms, y_atoms = tuple(range(mass.shape[0])), tuple(range(mass.shape[1]))
+    atoms = tuple(range(mass.size))
+    Pmf(atoms, mass.ravel()), JointPmf(x_atoms, y_atoms, mass), LossTable(mass)  # all valid
+    with pytest.raises(DistributionError):
+        Pmf(atoms, bad.ravel())
+    with pytest.raises(DistributionError):
+        JointPmf(x_atoms, y_atoms, bad)
+    with pytest.raises(DistributionError):
+        LossTable(bad)

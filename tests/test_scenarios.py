@@ -94,6 +94,24 @@ class TestConstruction:
         with pytest.raises(ScenarioError, match="target_label_marginal must be finite"):
             make_scenario("label-shift", target_label_marginal=marginal)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_classes", 2.7), ("n_classes", 3.0), ("n_classes", True), ("n", 2.0),
+        ("n", False), ("seed", 1.5), ("seed", np.float64(3.0)), ("seed", True)])
+    @pytest.mark.parametrize("kind", ["label-shift", "open-set"])
+    def test_non_integral_count_or_seed_rejected(self, kind, name, value):
+        params = {"n": 4, "alpha": 0.5} if kind == "open-set" else {}
+        with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
+            make_scenario(kind, **{**params, name: value})
+        make_scenario(kind, **{**params, name: np.int64(3)})  # a numpy integer passes
+
+    @pytest.mark.parametrize("name, value", [("n_classes", 2.7), ("seed", 3.9),
+                                             ("n_classes", 2.0), ("seed", False)])
+    def test_scenario_file_with_non_integral_count_or_seed_rejected(self, name, value):
+        d = make_scenario("label-shift").to_json_dict()
+        d[name] = value
+        with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
+            ShiftScenario.from_json_dict(d)
+
     def test_json_round_trip(self, tmp_path):
         sc = make_scenario("conditional-shift", rotation_deg=45.0,
                            source_label_marginal=(0.3, 0.7), seed=9)
@@ -215,7 +233,7 @@ class TestDiscretization:
 
         rng = np.random.default_rng(8)
         for sc in [make_scenario("cofeature"), *(random_cov_scenario(rng) for _ in range(20))]:
-            centers, _ = _grid_centers(sc, 16)
+            centers = _grid_centers(sc, 16)
             means, covs, marg = sc.domain_params("source")
             expected = np.stack([marg[y] * stats.multivariate_normal(means[y], covs[y]).pdf(centers)
                                  for y in range(2)], axis=1)

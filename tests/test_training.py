@@ -45,10 +45,9 @@ def small_fixture(seed=1, ns=16, nt=12, h=6, f=4):
     tgt = SampleBatch(tgt_raw.xs, tgt_raw.ys)
     st = CentroidState.empty(2, f)
     rng = np.random.default_rng(seed + 2)
-    st.source[:] = rng.normal(size=(2, f))
-    st.target[:] = rng.normal(size=(2, f))
-    st.source_counts[:] = 1
-    st.target_counts[:] = 1
+    st.mu[:2] = rng.normal(size=(2, f))
+    st.mu[2:] = rng.normal(size=(2, f))
+    st.counts[:] = 1
     w = WeightVector(np.array([1.6, 0.4]))
     return m, src, tgt, st, w
 
@@ -152,8 +151,8 @@ class TestCompositeLoss:
         # it on the target side): its source centroid starts, its loss is skipped
         parts, _, st1 = loss_and_gradients(m, src, tgt0, st0, w, lam0=0.0, lam1=1.0)
         assert math.isfinite(parts["conditional"])
-        assert st1.source_counts[1] == 1
-        assert st1.target_counts[1] == 0
+        assert st1.counts[1] == 1
+        assert st1.counts[2 + 1] == 0
 
     @pytest.mark.parametrize("batch, label", [("source", -1), ("target", 5),
                                               ("target", -2), ("source", 2)])
@@ -189,6 +188,7 @@ def per_class_term_ii(z_s, z_t, ys_s, ys_t, st, class_weights, lam1):
     Returns the loss, the committed centroids and the feature gradient.
     """
     rho = CENTROID_MOMENTUM
+    n_classes = len(class_weights)
 
     def effective(stored, count, batch_mean):
         if batch_mean is not None:
@@ -201,19 +201,19 @@ def per_class_term_ii(z_s, z_t, ys_s, ys_t, st, class_weights, lam1):
     dz_s, dz_t = dz[:len(ys_s)], dz[len(ys_s):]
     new_st = st.copy()
     t2 = 0.0
-    for y in range(len(class_weights)):
+    for y in range(n_classes):
         idx_s = np.flatnonzero(ys_s == y)
         idx_t = np.flatnonzero(ys_t == y)
         mean_s = z_s[idx_s].mean(axis=0) if idx_s.size else None
         mean_t = z_t[idx_t].mean(axis=0) if idx_t.size else None
-        mu_s, coef_s = effective(st.source[y], st.source_counts[y], mean_s)
-        mu_t, coef_t = effective(st.target[y], st.target_counts[y], mean_t)
+        mu_s, coef_s = effective(st.mu[y], st.counts[y], mean_s)
+        mu_t, coef_t = effective(st.mu[n_classes + y], st.counts[n_classes + y], mean_t)
         if idx_s.size:
-            new_st.source[y] = mu_s
-            new_st.source_counts[y] += 1
+            new_st.mu[y] = mu_s
+            new_st.counts[y] += 1
         if idx_t.size:
-            new_st.target[y] = mu_t
-            new_st.target_counts[y] += 1
+            new_st.mu[n_classes + y] = mu_t
+            new_st.counts[n_classes + y] += 1
         if mu_s is None or mu_t is None:
             continue
         diff = mu_s - mu_t
@@ -247,12 +247,12 @@ class TestClassBatchedStepOracle:
         src = SampleBatch(rng.normal(size=(ns, 2)), rng.choice(classes_s, ns))
         tgt = SampleBatch(rng.normal(size=(nt, 2)), rng.choice(classes_t, nt))
         st = CentroidState.empty(n_classes, f)
-        st.source[:] = rng.normal(size=(n_classes, f))
-        st.target[:] = rng.normal(size=(n_classes, f))
+        st.mu[:n_classes] = rng.normal(size=(n_classes, f))
+        st.mu[n_classes:] = rng.normal(size=(n_classes, f))
         if stored != "zero":
             low = 0 if stored == "mixed" else 1
-            st.source_counts[:] = rng.integers(low, 4, n_classes)
-            st.target_counts[:] = rng.integers(low, 4, n_classes)
+            st.counts[:n_classes] = rng.integers(low, 4, n_classes)
+            st.counts[n_classes:] = rng.integers(low, 4, n_classes)
         w = WeightVector(rng.uniform(0.2, 2.0, n_classes))
         class_weights = rng.uniform(0.1, 1.5, n_classes)
         lam1 = float(rng.uniform(0.1, 3.0))
@@ -264,7 +264,7 @@ class TestClassBatchedStepOracle:
         t2, ref_st, dz = per_class_term_ii(z[:ns], z[ns:], src.ys, tgt.ys, st,
                                            class_weights, lam1)
         assert parts["conditional"] == t2
-        for name in ("source", "target", "source_counts", "target_counts"):
+        for name in ("mu", "counts"):
             assert np.array_equal(getattr(new_st, name), getattr(ref_st, name)), name
         assert np.array_equal(grads["b2"], np.add.reduce(dz))
         assert np.array_equal(grads["w2"], dz.T @ a)
@@ -347,9 +347,9 @@ class TestGradients:
         for y in (0, 1):
             idx = src.ys == y
             if idx.any():
-                expected = rho * st.source[y] + (1 - rho) * z_s[idx].mean(axis=0)
-                assert np.allclose(st2.source[y], expected, atol=1e-12)
-                assert st2.source_counts[y] == st.source_counts[y] + 1
+                expected = rho * st.mu[y] + (1 - rho) * z_s[idx].mean(axis=0)
+                assert np.allclose(st2.mu[y], expected, atol=1e-12)
+                assert st2.counts[y] == st.counts[y] + 1
 
 
 class TestPseudoLabels:
