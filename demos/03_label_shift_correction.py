@@ -22,7 +22,7 @@ def banner(title):
 
 
 banner("Solving a clean diagonal system")
-cm = confusion_matrix([0, 1] * 500, [0, 1] * 500)
+cm = confusion_matrix([0, 1] * 500, [0, 1] * 500, n_classes=2)
 w = bbsl_weights(cm, np.array([0.8, 0.2]))
 print(f"perfect predictor, uniform source, target predictions (0.8, 0.2)")
 print(f"recovered weights: {w.alpha.round(4)}  (truth: [1.6, 0.4])")

@@ -42,7 +42,7 @@ from .divergence import _js_nats, js_divergence
 from .labelshift import WeightVector, _true_label_ratio, reweighted_risk
 from .pmf import (Axis, JointPmf, LossTable, Pmf, _conditional_entropy, conditional_rows,
                   expected_risk, marginals)
-from .scenarios import linear_zero_one_risk, midpoint_classifier, sample
+from .scenarios import linear_zero_one_risk, make_scenario, midpoint_classifier, sample
 
 VERDICT_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-9
@@ -293,22 +293,16 @@ def open_set_band(r_s: float, alpha: float, delta: float,
 def open_set_label_pair(n: int, alpha: float) -> tuple[Pmf, Pmf, float]:
     """Uniform label marginals over two size-n class sets sharing floor(alpha*n).
 
-    Returns (source Pmf, target Pmf, measured JS in nats) on the union
-    support. The measured JS equals (1 - shared/n) * ln 2, which never
-    exceeds 1 - alpha, the quantity the band uses.
+    Returns the label marginals of ``make_scenario("open-set", n=n,
+    alpha=alpha)`` as (source Pmf, target Pmf, measured JS in nats) on the
+    union support, so a bad n or alpha raises its ``ScenarioError``. The
+    measured JS equals (1 - shared/n) * ln 2, which never exceeds 1 - alpha,
+    the quantity the band uses.
     """
-    if n < 1:
-        raise BoundInputError("need at least one class")
-    if not 0.0 < alpha <= 1.0:
-        raise BoundInputError("overlap fraction alpha must lie in (0, 1]")
-    shared = int(math.floor(alpha * n))
-    union = tuple(range(2 * n - shared))
-    s_probs = np.zeros(len(union))
-    t_probs = np.zeros(len(union))
-    s_probs[:n] = 1.0 / n
-    t_probs[n - shared:] = 1.0 / n
-    s_y = Pmf(union, s_probs)
-    t_y = Pmf(union, t_probs)
+    sc = make_scenario("open-set", n=n, alpha=alpha)
+    union = tuple(range(sc.n_classes))
+    s_y = Pmf(union, sc.source_label_marginal)
+    t_y = Pmf(union, sc.target_label_marginal)
     return s_y, t_y, js_divergence(t_y, s_y, "e")
 
 

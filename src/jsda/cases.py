@@ -74,7 +74,7 @@ def interleaved_uniforms(xi: float) -> tuple[Pmf, Pmf]:
     return _exact_uniform(t_coords), _exact_uniform(s_coords)
 
 
-def counterexample1(xi: float, tol_override: float | None = None) -> CaseReport:
+def counterexample1(xi: float) -> CaseReport:
     """Small threshold divergence, saturated JS: the disjoint interleaving.
 
     JS in base 2 must equal 1 exactly (disjoint supports); the threshold
@@ -87,7 +87,7 @@ def counterexample1(xi: float, tol_override: float | None = None) -> CaseReport:
     return CaseReport(
         case_id="disjoint_interleaving",
         computed={"js_base2": js, "threshold_divergence": h_div},
-        expected={"js_base2": (1.0, 0.0 if tol_override is None else tol_override)},
+        expected={"js_base2": (1.0, 0.0)},
         checks={"threshold_divergence_below_js": h_div < js},
     )
 
@@ -106,7 +106,7 @@ def case_divergence_values(base) -> list[tuple[str, float]]:
             ("JS", divergence("JS", t, s, base))]
 
 
-def counterexample2(tol_override: float | None = None) -> CaseReport:
+def counterexample2() -> CaseReport:
     """Same-support reweighting where JS drops below the threshold divergence.
 
     Source uniform on {1,2,3}, target (1/4, 1/2, 1/4). Pinned values:
@@ -116,19 +116,14 @@ def counterexample2(tol_override: float | None = None) -> CaseReport:
     s, t = _same_support_pair()
     kl_s, kl_t, js = (value for _, value in case_divergence_values("2"))
     h_div = h_divergence_1d(t, s)
-    expected = {
-        "threshold_divergence": (1.0 / 12.0, 1e-12),
-        "js_base2": (0.0207, 5e-4),
-        "kl_source_vs_mixture_base2": (0.02110, 5e-5),
-        "kl_target_vs_mixture_base2": (0.02032, 5e-5),
-    }
-    if tol_override is not None:
-        expected = {k: (v, tol_override) for k, (v, _) in expected.items()}
     return CaseReport(
         case_id="same_support_reweighting",
         computed={"threshold_divergence": h_div, "js_base2": js,
                   "kl_source_vs_mixture_base2": kl_s,
                   "kl_target_vs_mixture_base2": kl_t},
-        expected=expected,
+        expected={"threshold_divergence": (1.0 / 12.0, 1e-12),
+                  "js_base2": (0.0207, 5e-4),
+                  "kl_source_vs_mixture_base2": (0.02110, 5e-5),
+                  "kl_target_vs_mixture_base2": (0.02032, 5e-5)},
         checks={"js_below_threshold_divergence": js < h_div},
     )

@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -60,8 +61,7 @@ def write_report(rows: list[dict], fmt: str, path: str | None) -> None:
 
 
 def _cmd_counterexamples(args) -> int:
-    reports = [cases.counterexample1(args.xi, tol_override=args.tol),
-               cases.counterexample2(tol_override=args.tol)]
+    reports = [cases.counterexample1(args.xi), cases.counterexample2()]
     rows = [r for rep in reports for r in rep.rows()]
     write_report(rows, args.format, args.out)
     if args.base is not None:
@@ -104,6 +104,11 @@ def _cmd_scenario(args) -> int:
         if not args.out:
             raise ValueError("scenario make requires --out <file>")
         params = json.loads(args.params) if args.params else {}
+        if not isinstance(params, dict):
+            raise ValueError("--params must hold a JSON object")
+        unknown = set(params) - set(list(inspect.signature(make_scenario).parameters)[1:])
+        if unknown:  # kind is the first parameter; it comes from --kind
+            raise ValueError(f"unknown --params keys {sorted(unknown)}")
         params.setdefault("seed", args.seed)
         sc = make_scenario(args.kind, **params)
         sc.save(args.out)
@@ -169,17 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "scenarios, label-shift correction, adaptation training.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="csv"):
-        p.add_argument("--seed", type=int, default=0)
+    def output(p):
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+
+    def common(p):
+        p.add_argument("--seed", type=int, default=0)
+        output(p)
 
     p = sub.add_parser("counterexamples",
                        help="run the pinned divergence-ordering regressions")
-    common(p)
+    output(p)
     p.add_argument("--xi", type=float, default=1.0 / 12.0)
-    p.add_argument("--tol", type=float, default=None,
-                   help="override every pinned tolerance")
     p.add_argument("--base", choices=["e", "2"], default=None)
     p.set_defaults(func=_cmd_counterexamples)
 

@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .pmf import Pmf, _freeze
+from .pmf import _freeze
 from .scenarios import midpoint_classifier, sample
 
 CONDITION_LIMIT = 1e8
@@ -70,13 +70,13 @@ class WeightVector:
 
 
 def confusion_matrix(preds: Sequence[int], labels: Sequence[int],
-                     n_classes: int | None = None) -> ConfusionMatrix:
-    """Normalized pair counts of (prediction, truth)."""
+                     n_classes: int) -> ConfusionMatrix:
+    """Normalized n_classes x n_classes pair counts of (prediction, truth)."""
     p = np.asarray(preds, dtype=int)
     l = np.asarray(labels, dtype=int)
     if p.size == 0 or p.shape != l.shape:
         raise LabelShiftError("predictions and labels must be equal-length and nonempty")
-    k = int(max(p.max(), l.max())) + 1 if n_classes is None else int(n_classes)
+    k = int(n_classes)
     if p.min() < 0 or l.min() < 0 or p.max() >= k or l.max() >= k:
         raise LabelShiftError(f"class indices must lie in [0, {k})")
     c = np.zeros((k, k))
@@ -84,7 +84,7 @@ def confusion_matrix(preds: Sequence[int], labels: Sequence[int],
     return ConfusionMatrix(c / p.size)
 
 
-def bbsl_weights(c: ConfusionMatrix, t_pred: Pmf | np.ndarray) -> WeightVector:
+def bbsl_weights(c: ConfusionMatrix, t_pred: np.ndarray) -> WeightVector:
     """Solve C alpha = target-prediction-marginal for the label weights.
 
     Negative components are clipped to zero and the result is renormalized
@@ -92,7 +92,7 @@ def bbsl_weights(c: ConfusionMatrix, t_pred: Pmf | np.ndarray) -> WeightVector:
     Condition numbers above 1e8 switch to least squares; a singular system
     with an inconsistent right-hand side falls back to alpha = 1.
     """
-    t = t_pred.probs if isinstance(t_pred, Pmf) else np.asarray(t_pred, dtype=float)
+    t = np.asarray(t_pred, dtype=float)
     mat = c.c
     if t.shape != (mat.shape[0],):
         raise LabelShiftError("target prediction marginal has the wrong length")

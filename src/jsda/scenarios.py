@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ _DOMAIN_CODE = {"source": 0, "target": 1}
 _STREAM_LABELS = 1
 _STREAM_FEATURES = 2
 BOX_SIGMAS = 4.0  # the discretization box reaches mean +- BOX_SIGMAS sd per axis
+KINDS = ("label-shift", "conditional-shift", "cofeature", "open-set")
 
 
 class ScenarioError(ValueError):
@@ -63,6 +64,8 @@ class ShiftScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ScenarioError(f"unknown scenario kind {self.kind!r}")
         for name in ("source_means", "source_covs", "target_means", "target_covs",
                      "source_label_marginal", "target_label_marginal"):
             arr = _freeze(getattr(self, name))
@@ -103,15 +106,16 @@ class ShiftScenario:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ShiftScenario":
-        return ShiftScenario(
-            kind=d["kind"], n_classes=d["n_classes"],
-            source_means=np.asarray(d["source_means"]),
-            source_covs=np.asarray(d["source_covs"]),
-            target_means=np.asarray(d["target_means"]),
-            target_covs=np.asarray(d["target_covs"]),
-            source_label_marginal=np.asarray(d["source_label_marginal"]),
-            target_label_marginal=np.asarray(d["target_label_marginal"]),
-            overlap_alpha=d.get("overlap_alpha"), seed=d.get("seed", 0))
+        if not isinstance(d, dict):
+            raise ScenarioError("a scenario must be a JSON object")
+        unknown = set(d) - {f.name for f in fields(ShiftScenario)}
+        if unknown:
+            raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
+        missing = [f.name for f in fields(ShiftScenario)
+                   if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ScenarioError(f"missing scenario fields {missing}")
+        return ShiftScenario(**d)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -152,7 +156,6 @@ def _rotation(deg: float) -> np.ndarray:
 def make_scenario(kind: str, *, n_classes: int = 2,
                   source_label_marginal: Sequence[float] | None = None,
                   target_label_marginal: Sequence[float] | None = None,
-                  means: Sequence[Sequence[float]] | None = None,
                   cov_scale: float = 0.5,
                   rotation_deg: float = 30.0,
                   feature_shift: Sequence[float] = (1.0, 0.5),
@@ -164,8 +167,8 @@ def make_scenario(kind: str, *, n_classes: int = 2,
     if n is not None:
         _check_integer(n, "n")
     if kind == "open-set":
-        if n is None or alpha is None:
-            raise ScenarioError("open-set needs n (classes per domain) and alpha")
+        if n is None or alpha is None or n < 1:
+            raise ScenarioError("open-set needs n >= 1 (classes per domain) and alpha")
         if not 0.0 < alpha <= 1.0:
             raise ScenarioError("alpha must lie in (0, 1]")
         shared = int(math.floor(alpha * n))
@@ -179,12 +182,8 @@ def make_scenario(kind: str, *, n_classes: int = 2,
         return ShiftScenario(kind, total, mu, covs, mu.copy(), covs.copy(),
                              s_marg, t_marg, overlap_alpha=alpha, seed=seed)
 
-    if means is None:
-        mu = (_ring_means(n_classes, radius=2.0) if n_classes > 2
-              else np.array([[-2.0, 0.0], [2.0, 0.0]]))
-    else:
-        mu = np.asarray(means, dtype=float)
-        n_classes = mu.shape[0]
+    mu = (_ring_means(n_classes, radius=2.0) if n_classes > 2
+          else np.array([[-2.0, 0.0], [2.0, 0.0]]))
     covs = np.repeat(np.eye(2)[None] * cov_scale, n_classes, axis=0)
     s_marg = (np.full(n_classes, 1.0 / n_classes)
               if source_label_marginal is None
@@ -192,20 +191,17 @@ def make_scenario(kind: str, *, n_classes: int = 2,
     t_marg = s_marg.copy() if target_label_marginal is None else np.asarray(
         target_label_marginal, dtype=float)
 
-    if kind == "label-shift":
-        return ShiftScenario(kind, n_classes, mu, covs, mu.copy(), covs.copy(),
-                             s_marg, t_marg, seed=seed)
     if kind == "conditional-shift":
         t_mu = mu @ _rotation(rotation_deg).T
-        return ShiftScenario(kind, n_classes, mu, covs, t_mu, covs.copy(),
-                             s_marg, t_marg, seed=seed)
-    if kind == "cofeature":
+    elif kind == "cofeature":
         # The target Gaussian parameters only define the chosen T(x); the
         # discretizer pairs it with the source's S(y|x).
         t_mu = mu + np.asarray(feature_shift, dtype=float)
-        return ShiftScenario(kind, n_classes, mu, covs, t_mu, covs.copy(),
-                             s_marg, s_marg.copy(), seed=seed)
-    raise ScenarioError(f"unknown scenario kind {kind!r}")
+        t_marg = s_marg.copy()
+    else:  # label-shift; ShiftScenario rejects an unknown kind
+        t_mu = mu.copy()
+    return ShiftScenario(kind, n_classes, mu, covs, t_mu, covs.copy(),
+                         s_marg, t_marg, seed=seed)
 
 
 def sample(sc: ShiftScenario, domain: Domain, n: int,

@@ -73,8 +73,8 @@ class TrainConfig:
     cond_multiplier is the (>1) factor giving the conditional term a higher
     weight than the adversarial one. n_source counts training samples; a
     further HOLDOUT_FRACTION of that size is drawn and reserved for the
-    shift-weight confusion matrix. init_scale 0 is the all-zero sanity init.
-    feature-shift tracking (the over-matching diagnostic) needs 2-D features.
+    shift-weight confusion matrix. Feature-shift tracking (the over-matching
+    diagnostic) needs 2-D features.
     The warm-up constant (WARMUP_K, DANN's gamma = 10), the centroid momentum
     (CENTROID_MOMENTUM) and the constraint level (KAPPA) are module constants.
     """
@@ -89,7 +89,6 @@ class TrainConfig:
     feature_width: int = 16
     n_source: int = 2000
     n_target: int = 2000
-    init_scale: float = 1.0
     track_feature_shift: bool = False
     feature_bins: int = 24
 
@@ -99,7 +98,7 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TrainingError(f"{name} must be an integer, not {value!r}")
-        for name in ("learning_rate", "cond_multiplier", "init_scale"):
+        for name in ("learning_rate", "cond_multiplier"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TrainingError(f"{name} must be a real number, not {value!r}")
@@ -162,10 +161,9 @@ def init_models(cfg: TrainConfig, n_classes: int = 2) -> ModelParams:
     """Random 1/sqrt(fan_in) init, deterministic under cfg.seed."""
     rng = np.random.default_rng([cfg.seed, _STREAM_INIT])
     h, f = cfg.hidden_width, cfg.feature_width
-    s = cfg.init_scale
 
     def layer(rows: int, fan_in: int) -> np.ndarray:
-        return s / math.sqrt(fan_in) * rng.standard_normal((rows, fan_in))
+        return 1.0 / math.sqrt(fan_in) * rng.standard_normal((rows, fan_in))
 
     return ModelParams(
         w1=layer(h, 2), b1=np.zeros(h),
@@ -189,9 +187,6 @@ class CentroidState:
     def empty(n_classes: int, feature_width: int) -> "CentroidState":
         return CentroidState(np.zeros((2 * n_classes, feature_width)),
                              np.zeros(2 * n_classes, dtype=int))
-
-    def copy(self) -> "CentroidState":
-        return CentroidState(self.mu.copy(), self.counts.copy())
 
 
 def features(m: ModelParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from jsda import counterexample1, counterexample2, interleaved_uniforms
+from jsda import CaseReport, counterexample1, counterexample2, interleaved_uniforms
 from jsda.pmf import DistributionError
 
 
@@ -60,9 +60,11 @@ class TestSameSupportReweighting:
         assert all({"case", "quantity", "computed", "ok"} <= set(r) for r in rows)
         assert all(r["ok"] for r in rows)
 
-    def test_tolerance_override_can_fail_the_case(self):
-        rep = counterexample2(tol_override=1e-15)
+    def test_missed_expectation_fails_the_case(self):
+        rep = CaseReport("missed", computed={"q": 0.5}, expected={"q": (0.4, 0.05)},
+                         checks={"holds": True})
         assert not rep.verdict
+        assert [r["ok"] for r in rep.rows()] == [False, True]
 
 
 def test_case_divergence_values_bases():

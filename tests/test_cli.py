@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from jsda.cli import dispatch, write_report
+from jsda import cases
+from jsda.cli import build_parser, dispatch, write_report
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -46,8 +51,26 @@ class TestDispatch:
         assert "disjoint_interleaving: PASS" in out
         assert "same_support_reweighting: PASS" in out
 
-    def test_counterexamples_tolerance_override_fails(self, capsys):
-        assert dispatch(["counterexamples", "--tol", "1e-15"]) == 1
+    def test_counterexamples_exit_one_when_a_case_fails(self, capsys, monkeypatch):
+        missed = cases.CaseReport("same_support_reweighting", computed={"q": 0.5},
+                                  expected={"q": (0.4, 0.05)})
+        monkeypatch.setattr(cases, "counterexample2", lambda: missed)
+        assert dispatch(["counterexamples"]) == 1
+        assert "same_support_reweighting: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--tol", "0"], ["--seed", "1"]])
+    def test_counterexamples_has_no_tol_or_seed(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["counterexamples", *flag])
+        assert exc.value.code == 2
+
+    def test_readme_cli_lines_parse(self):
+        block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```")[1]
+        lines = block.replace("\\\n", " ").splitlines()[1:]  # drop the fence's "bash"
+        commands = [shlex.split(line, comments=True) for line in lines]
+        assert len(commands) >= 8 and all(argv[0] == "jsda" for argv in commands)
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
 
     def test_counterexamples_base_prints_divergences(self, capsys):
         assert dispatch(["counterexamples", "--base", "e"]) == 0
@@ -129,6 +152,28 @@ class TestScenarioCommands:
                          json.dumps({"n": 2.0, "alpha": 0.5}), "--out", str(path)]) == 1
         assert capsys.readouterr().err == "error: n must be an integer, not 2.0\n"
         assert not path.exists()
+
+    @pytest.mark.parametrize("params, message", [
+        ("[1]", "--params must hold a JSON object"),
+        ('{"foo": 1}', "unknown --params keys ['foo']"),
+        ('{"kind": "open-set"}', "unknown --params keys ['kind']")])
+    def test_bad_params_is_one_line_error(self, tmp_path, params, message, capsys):
+        path = tmp_path / "sc.json"
+        assert dispatch(["scenario", "make", "--params", params, "--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: list(d), lambda d: {**d, "bogus": 3}, lambda d: {**d, "kind": "cofeatur"},
+        lambda d: {k: v for k, v in d.items() if k != "kind"}],
+        ids=["list", "unknown-key", "unknown-kind", "missing-key"])
+    def test_bad_scenario_file_is_one_line_error(self, scenario_file, tmp_path, edit,
+                                                 capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.loads(scenario_file.read_text()))))
+        assert dispatch(["label-shift", "--scenario", str(bad), "--n", "400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestTrainCommands:

@@ -85,15 +85,17 @@ def float_step(x, k):
 
 EDGE_FLOATS = [0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, 0.1, 2.0**53, 1e308, -1e308]
 base_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e308, 1e308))
+# 0.0 and the smallest subnormal and normal masses: half of 5e-324 rounds to zero
+masses = st.one_of(st.sampled_from([0.0, 5e-324, 2.0**-1022]), st.floats(0.0, 1.0))
 
 
 @st.composite
 def point_pairs(draw):
     """Two Pmfs on float atoms near up to three shared bases: float neighbours are
-    likely, as are subnormals, zeros, +-1e308 and zero-mass atoms."""
+    likely, as are subnormals, zeros, +-1e308 and zero-mass and subnormal-mass atoms."""
     bases = draw(st.lists(base_floats, min_size=1, max_size=3))
     picks = st.tuples(st.integers(0, len(bases) - 1), st.integers(-2, 2),
-                      st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+                      masses)
 
     def pmf():
         pts = {}

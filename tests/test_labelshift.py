@@ -18,7 +18,7 @@ from jsda.labelshift import LabelShiftError
 class TestConfusionMatrix:
     def test_perfect_predictor_uniform_labels(self):
         labels = np.array([0, 1] * 50)
-        cm = confusion_matrix(labels, labels)
+        cm = confusion_matrix(labels, labels, n_classes=2)
         assert np.allclose(cm.c, np.diag([0.5, 0.5]))
 
     def test_constant_predictor(self):
@@ -32,7 +32,7 @@ class TestConfusionMatrix:
         rng = np.random.default_rng(0)
         preds = rng.integers(0, 3, 500)
         labels = rng.integers(0, 3, 500)
-        cm = confusion_matrix(preds, labels)
+        cm = confusion_matrix(preds, labels, n_classes=3)
         oracle = np.zeros((3, 3))
         for p, l in zip(preds, labels):
             oracle[p, l] += 1 / 500
@@ -40,7 +40,7 @@ class TestConfusionMatrix:
 
     def test_empty_input(self):
         with pytest.raises(LabelShiftError, match="nonempty"):
-            confusion_matrix([], [])
+            confusion_matrix([], [], n_classes=2)
 
     def test_must_sum_to_one(self):
         with pytest.raises(LabelShiftError, match="sum"):

@@ -351,6 +351,20 @@ def grids_with_non_finite_cells(draw):
     return mass, bad
 
 
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6,
+                unique=True),
+       st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "a"]), st.data())
+def test_non_finite_atom_has_no_coordinates_in_any_position(finite, bad, data):
+    atoms = list(finite)
+    atoms.insert(data.draw(st.integers(0, len(atoms))), bad)
+    p = Pmf(tuple(atoms), np.full(len(atoms), 1.0 / len(atoms)))
+    q = Pmf(tuple(finite), np.full(len(finite), 1.0 / len(finite)))
+    for call in (lambda: p.coords, lambda: h_divergence_1d(p, q), lambda: h_divergence_1d(q, p)):
+        with pytest.raises(DistributionError, match="finite real-number atoms"):
+            call()
+
+
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(grids_with_non_finite_cells())
 def test_non_finite_entries_rejected_in_any_position(grids):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsda import (
     JointPmf,
@@ -88,6 +90,18 @@ class TestConstruction:
         with pytest.raises(ScenarioError, match=f"{name} must be finite"):
             ShiftScenario.from_json_dict(d)
 
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    @given(st.sampled_from(["source_means", "source_covs", "target_means", "target_covs",
+                            "source_label_marginal", "target_label_marginal"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_entry_rejected_in_any_position(self, name, bad, data):
+        d = make_scenario("conditional-shift", n_classes=3).to_json_dict()
+        arr = np.array(d[name])
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = bad
+        d[name] = arr.tolist()
+        with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+            ShiftScenario.from_json_dict(d)
+
     @pytest.mark.parametrize("marginal", [(math.nan, math.nan), (math.nan, 1.0),
                                           (math.inf, 0.0)])
     def test_non_finite_label_marginal_rejected(self, marginal):
@@ -111,6 +125,26 @@ class TestConstruction:
         d[name] = value
         with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
             ShiftScenario.from_json_dict(d)
+
+    def test_scenario_file_must_hold_an_object(self):
+        with pytest.raises(ScenarioError, match="must be a JSON object"):
+            ShiftScenario.from_json_dict([["kind", "label-shift"]])
+
+    def test_scenario_file_with_unknown_key_rejected(self):
+        d = make_scenario("label-shift").to_json_dict()
+        with pytest.raises(ScenarioError, match=r"unknown scenario fields \['bogus'\]"):
+            ShiftScenario.from_json_dict({**d, "bogus": 3})
+
+    def test_scenario_file_with_missing_key_rejected(self):
+        d = make_scenario("label-shift").to_json_dict()
+        del d["target_covs"]
+        with pytest.raises(ScenarioError, match=r"missing scenario fields \['target_covs'\]"):
+            ShiftScenario.from_json_dict(d)
+
+    def test_scenario_file_with_unknown_kind_rejected(self):
+        d = make_scenario("cofeature").to_json_dict()
+        with pytest.raises(ScenarioError, match="unknown scenario kind 'cofeatur'"):
+            ShiftScenario.from_json_dict({**d, "kind": "cofeatur"})
 
     def test_json_round_trip(self, tmp_path):
         sc = make_scenario("conditional-shift", rotation_deg=45.0,
@@ -246,8 +280,10 @@ class TestDiscretization:
             discretize(ShiftScenario.from_json_dict(d), "source", grid=8)
 
     def test_degenerate_bounding_box(self):
-        sc = make_scenario("label-shift", target_label_marginal=(0.8, 0.2),
-                           means=[[0.0, 0.0], [0.0, 0.0]], cov_scale=0.0)
+        d = make_scenario("label-shift", target_label_marginal=(0.8, 0.2),
+                          cov_scale=0.0).to_json_dict()
+        d["source_means"] = d["target_means"] = [[0.0, 0.0], [0.0, 0.0]]
+        sc = ShiftScenario.from_json_dict(d)
         with pytest.raises(ScenarioError, match="degenerate"):
             discretize(sc, "source", grid=8)
 

@@ -87,7 +87,7 @@ class TestConfigAndInit:
         # values of the wrong type
         ("epochs", "3"), ("epochs", True), ("batch_size", 1.5), ("seed", None),
         ("n_source", 2000.0), ("learning_rate", "0.05"), ("cond_multiplier", True),
-        ("init_scale", None), ("track_feature_shift", 1), ("principles", "III"),
+        ("track_feature_shift", 1), ("principles", "III"),
         ("principles", 3), ("principles", [["I"]])])
     def test_config_that_cannot_train_is_rejected(self, field, value):
         with pytest.raises(TrainingError):
@@ -107,14 +107,6 @@ class TestConfigAndInit:
         assert m.wh.shape == (3, 16) and m.wd.shape == (16,)
         assert m.hidden_width == 16 and m.feature_width == 16 and m.n_classes == 3
 
-    def test_zero_scale_init_gives_zero_logits(self):
-        from jsda.training import class_logits, features
-        cfg = TrainConfig(init_scale=0.0)
-        m = init_models(cfg)
-        xs = np.random.default_rng(0).normal(size=(5, 2))
-        z, _ = features(m, xs)
-        assert np.all(class_logits(m, z) == 0.0)
-
 
 class TestCompositeLoss:
     def test_identical_batches_zero_conditional_and_chance_adversarial(self):
@@ -122,10 +114,8 @@ class TestCompositeLoss:
         st = CentroidState.empty(2, m.feature_width)
         tgt = SampleBatch(src.xs, src.ys)
         w = WeightVector(np.ones(2))
-        zero_d = init_models(TrainConfig(hidden_width=6, feature_width=4,
-                                         init_scale=0.0, seed=1), n_classes=2)
-        m.wd = zero_d.wd
-        m.bd = zero_d.bd
+        m.wd = np.zeros(m.feature_width)
+        m.bd = np.zeros(1)
         parts, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0=1.0, lam1=1.0)
         assert parts["conditional"] == pytest.approx(0.0, abs=1e-15)
         assert parts["adversarial"] == pytest.approx(-LOG4, abs=1e-12)
@@ -199,7 +189,7 @@ def per_class_term_ii(z_s, z_t, ys_s, ys_t, st, class_weights, lam1):
 
     dz = np.zeros((len(ys_s) + len(ys_t), z_s.shape[1]))
     dz_s, dz_t = dz[:len(ys_s)], dz[len(ys_s):]
-    new_st = st.copy()
+    new_st = CentroidState(st.mu.copy(), st.counts.copy())
     t2 = 0.0
     for y in range(n_classes):
         idx_s = np.flatnonzero(ys_s == y)
@@ -361,8 +351,9 @@ class TestPseudoLabels:
         assert trace.target_accuracy[-1] == 1.0
 
     def test_untrained_model_constant_predictions(self):
-        cfg = TrainConfig(init_scale=0.0, seed=0)
-        m = init_models(cfg, n_classes=2)
+        m = init_models(TrainConfig(seed=0), n_classes=2)
+        for _, arr in m.param_items():
+            arr[...] = 0.0
         sc = make_scenario("label-shift", target_label_marginal=(0.8, 0.2), seed=1)
         tgt = sample(sc, "target", 200)
         hold = sample(sc, "source", 100, stream=(9,))
