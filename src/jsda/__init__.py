@@ -48,8 +48,6 @@ from .pmf import (
     Pmf,
     align_supports,
     conditionals,
-    entropy,
-    entropy_stats,
     expected_risk,
     marginals,
     mixture,

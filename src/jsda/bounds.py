@@ -16,10 +16,11 @@ rules they share: identical supports, and a ``BoundInputError`` for an atom
 with mass under only one joint (it has no conditional to compare).
 
 Verifiers run on the same pair share its joint JS, conditional families and
-marginal JS through ``functools.lru_cache``. The memos key on the ordered
-pair of joints, which compare by identity and are read-only, so a term of
-(t, s) is never taken for (s, t) and cannot go stale; they hold at most two
-entries, and a raising call is not cached, so it raises again.
+marginal JS through ``functools.lru_cache``. The marginal JS reads the mass
+grids; its readers call ``_conditional_terms`` first, for the support check.
+The memos key on the ordered pair of joints, which compare by identity and
+are read-only, so a term of (t, s) is never taken for (s, t) and cannot go
+stale; they hold at most two entries, and a raising call is not cached.
 
 A caution on the intrinsic-error transfer bound: the inequality as
 implemented is not universally valid. Near deterministic conditionals the
@@ -40,15 +41,14 @@ import numpy as np
 
 from .divergence import _js_nats, js_divergence
 from .labelshift import WeightVector, _true_label_ratio, reweighted_risk
-from .pmf import (Axis, JointPmf, LossTable, Pmf, _conditional_entropy, conditional_rows,
-                  expected_risk, marginals)
+from .pmf import (Axis, JointPmf, LossTable, MarginalAxis, Pmf, _conditional_entropy,
+                  _marginal_probs, conditional_rows, expected_risk)
 from .scenarios import linear_zero_one_risk, make_scenario, midpoint_classifier, sample
 
 VERDICT_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-9
 
 TailVariant = Literal["bounded", "subgaussian", "subgamma"]
-MarginalAxis = Literal["x", "y"]
 
 
 class BoundInputError(ValueError):
@@ -209,9 +209,8 @@ def _joint_js(s: JointPmf, t: JointPmf) -> float:
 
 @lru_cache(maxsize=2)
 def _marginal_js(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
-    """JS in nats of the two joints' marginals over X (axis "x") or Y."""
-    (s_marg, _), (t_marg, _), _ = _conditional_terms(s, t, _CONDITIONING[axis])
-    return _js_nats((s_marg / s_marg.sum()).tolist(), (t_marg / t_marg.sum()).tolist())
+    """``js_divergence`` in nats of the two joints' ``marginals`` over X or Y, bit for bit."""
+    return _js_nats(_marginal_probs(s, axis).tolist(), _marginal_probs(t, axis).tolist())
 
 
 def _conditional_shift(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
@@ -235,7 +234,7 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     fails wherever that constant is too tight.
     """
     tail = _loss_tail(l, tail)
-    marg_js, cond_js = _marginal_js(s, t, axis), _conditional_shift(s, t, axis)
+    cond_js, marg_js = _conditional_shift(s, t, axis), _marginal_js(s, t, axis)
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
     gap = _gap_term(tail, marg_js) + _gap_term(tail, cond_js)
@@ -323,9 +322,7 @@ def matched_conditional_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundRep
         if gap > HYPOTHESIS_TOL:
             raise BoundInputError(
                 f"matched-conditional hypothesis violated at label {y!r}: JS={gap:.3g}")
-    _, s_y = marginals(s)
-    _, t_y = marginals(t)
-    label_js = js_divergence(s_y, t_y, "e")
+    label_js = _marginal_js(s, t, "y")
     r_s = expected_risk(s, l)
     r_t = expected_risk(t, l)
     width = math.sqrt(2.0 * label_js)
@@ -377,10 +374,8 @@ def conditional_shift_lower_bound(s: JointPmf, t: JointPmf) -> BoundReport:
     the floor is :func:`label_conditional_floor` of the label-marginal and
     feature-marginal divergences.
     """
-    marg_js, cond_sum = _marginal_js(s, t, "x"), _conditional_shift(s, t, "x")
-    _, s_y = marginals(s)
-    _, t_y = marginals(t)
-    label_js = js_divergence(t_y, s_y, "e")
+    cond_sum = _conditional_shift(s, t, "x")
+    marg_js, label_js = _marginal_js(s, t, "x"), _marginal_js(s, t, "y")
     lo = label_conditional_floor(label_js, marg_js)
     return BoundReport(
         name="conditional_shift_lower", lhs=cond_sum, bound_lo=lo,

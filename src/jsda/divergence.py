@@ -23,9 +23,10 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .pmf import DistributionError, JointPmf, LogBase, Pmf, _log_with_base, align_supports
+from .pmf import DistributionError, JointPmf, Pmf, align_supports
 
 DivergenceKind = Literal["KL", "JS", "TV", "Renyi2"]
+LogBase = Literal["e", "2"]
 
 
 def _nonnegative(value: float) -> float:
@@ -101,7 +102,8 @@ def divergence(kind: DivergenceKind, p: Pmf | JointPmf, q: Pmf | JointPmf,
     reported as 0.0.
     """
     pp, qq = (a.tolist() for a in _paired_probs(p, q))
-    _log_with_base(base)  # rejects an unsupported base
+    if base not in ("e", "2"):
+        raise DistributionError(f"unsupported log base {base!r}; use 'e' or '2'")
     # computing directly in the requested base keeps e.g. the disjoint-support
     # JS bit-exact in base 2 (log2 of an exact power of two is exact)
     log = math.log2 if base == "2" else math.log

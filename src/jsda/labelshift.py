@@ -49,10 +49,6 @@ class ConfusionMatrix:
         """Column sums: the empirical source label distribution."""
         return self.c.sum(axis=0)
 
-    @property
-    def prediction_marginal(self) -> np.ndarray:
-        return self.c.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class WeightVector:

@@ -1,4 +1,5 @@
-"""Exact finite-support probability objects and the risk/entropy functionals.
+"""Exact finite-support probability objects, the expected risk and the
+conditional entropy H(Y|X) of a joint.
 
 Everything here is double precision and deliberately boring: probability
 vectors that must sum to one within 1e-12, joint grids over X x Y, and loss
@@ -34,20 +35,11 @@ import numpy as np
 VALIDITY_TOL = 1e-12
 
 Axis = Literal["y|x", "x|y"]
-LogBase = Literal["e", "2"]
+MarginalAxis = Literal["x", "y"]
 
 
 class DistributionError(ValueError):
     """A probability object violates its contract."""
-
-
-def _log_with_base(base: LogBase) -> float:
-    """Return the divisor converting natural logs to the requested base."""
-    if base == "e":
-        return 1.0
-    if base == "2":
-        return math.log(2.0)
-    raise DistributionError(f"unsupported log base {base!r}; use 'e' or '2'")
 
 
 def _check_total(values: list[float], what: str = "probabilities sum") -> None:
@@ -114,13 +106,6 @@ class Pmf:
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    def prob(self, atom) -> float:
-        """Mass of one atom (0.0 for atoms outside the support)."""
-        try:
-            return float(self.probs[self.atoms.index(atom)])
-        except ValueError:
-            return 0.0
 
     @staticmethod
     def uniform(atoms: Sequence) -> "Pmf":
@@ -198,12 +183,16 @@ class LossTable:
         return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
 
 
+def _marginal_probs(j: JointPmf, axis: MarginalAxis) -> np.ndarray:
+    """The grid's row ("x") or column ("y") sums over their fsum, which absorbs drift."""
+    sums = j.mass.sum(axis=1 if axis == "x" else 0)
+    return sums / math.fsum(sums.tolist())
+
+
 def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
     """Row/column sums of the joint grid as (Pmf over X, Pmf over Y)."""
-    px, py = j.mass.sum(axis=1), j.mass.sum(axis=0)
-    # Tiny accumulation drift is absorbed so downstream validity holds.
-    return (Pmf._unchecked(j.x_atoms, px / math.fsum(px.tolist())),
-            Pmf._unchecked(j.y_atoms, py / math.fsum(py.tolist())))
+    return (Pmf._unchecked(j.x_atoms, _marginal_probs(j, "x")),
+            Pmf._unchecked(j.y_atoms, _marginal_probs(j, "y")))
 
 
 def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.ndarray]:
@@ -250,30 +239,10 @@ def expected_risk(j: JointPmf, l: LossTable) -> float:
     return math.fsum((j.mass * l.values).ravel().tolist())
 
 
-def entropy(p: Pmf | np.ndarray, base: LogBase = "e") -> float:
-    """Shannon entropy with the 0*log0 = 0 convention."""
-    probs = p.probs if isinstance(p, Pmf) else np.asarray(p, dtype=float)
-    return _entropy_nats(probs.tolist()) / _log_with_base(base)
-
-
-def _entropy_nats(probs: list[float]) -> float:
-    return math.fsum([-v * math.log(v) for v in probs if v > 0.0])
-
-
-def entropy_stats(j: JointPmf, base: LogBase = "e") -> tuple[float, float]:
-    """(H(Y), H(Y|X)) of the joint, in the requested base.
-
-    H(Y|X) is the marginal-weighted average of the per-x conditional
-    entropies; the chain H(Y|X) <= H(Y) <= log|Y| always holds.
-    """
-    _, py = marginals(j)
-    _, weights, rows = conditional_rows(j, "y|x")
-    return entropy(py, base), _conditional_entropy(weights, rows) / _log_with_base(base)
-
-
 def _conditional_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
-    """H(Y|X) in nats from the weights and rows of ``conditional_rows(j, "y|x")``."""
-    return math.fsum([w * _entropy_nats(row)
+    """H(Y|X) in nats from the weights and rows of ``conditional_rows(j, "y|x")``:
+    the weighted sum of the row entropies, with 0 * log 0 = 0."""
+    return math.fsum([w * math.fsum([-v * math.log(v) for v in row if v > 0.0])
                       for w, row in zip(weights.tolist(), rows.tolist()) if w > 0])
 
 

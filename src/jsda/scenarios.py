@@ -50,6 +50,11 @@ def _check_integer(value, name: str) -> None:
         raise ScenarioError(f"{name} must be an integer, not {value!r}")
 
 
+def _check_real(value, name: str) -> None:
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ScenarioError(f"{name} must be a finite real number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ShiftScenario:
     kind: str
@@ -74,6 +79,8 @@ class ShiftScenario:
             object.__setattr__(self, name, arr)
         _check_integer(self.n_classes, "n_classes")
         _check_integer(self.seed, "seed")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ScenarioError(f"seed must be >= 0, not {self.seed!r}")
         k = self.n_classes
         if k < 2:
             raise ScenarioError("need at least two classes")
@@ -81,6 +88,9 @@ class ShiftScenario:
             raise ScenarioError("class means must be (n_classes, 2)")
         if self.source_covs.shape != (k, 2, 2) or self.target_covs.shape != (k, 2, 2):
             raise ScenarioError("class covariances must be (n_classes, 2, 2)")
+        covs = np.concatenate([self.source_covs, self.target_covs])
+        if not (np.array_equal(covs, covs.swapaxes(1, 2)) and np.linalg.eigvalsh(covs).min() > 0):
+            raise ScenarioError("class covariances must be symmetric positive definite")
         for marg in (self.source_label_marginal, self.target_label_marginal):
             if marg.shape != (k,) or np.any(marg < 0) or not abs(marg.sum() - 1.0) <= 1e-9:
                 raise ScenarioError("label marginals must be valid distributions")
@@ -164,11 +174,20 @@ def make_scenario(kind: str, *, n_classes: int = 2,
                   seed: int = 0) -> ShiftScenario:
     """Build a scenario of the requested kind (see module docstring)."""
     _check_integer(n_classes, "n_classes")
+    if n_classes < 2:
+        raise ScenarioError("need at least two classes")
     if n is not None:
         _check_integer(n, "n")
+    _check_real(cov_scale, "cov_scale")
+    _check_real(rotation_deg, "rotation_deg")
+    if not isinstance(feature_shift, (Sequence, np.ndarray)) or len(feature_shift) != 2:
+        raise ScenarioError(f"feature_shift must hold 2 numbers, not {feature_shift!r}")
+    for value in feature_shift:
+        _check_real(value, "each feature_shift entry")
     if kind == "open-set":
         if n is None or alpha is None or n < 1:
             raise ScenarioError("open-set needs n >= 1 (classes per domain) and alpha")
+        _check_real(alpha, "alpha")
         if not 0.0 < alpha <= 1.0:
             raise ScenarioError("alpha must lie in (0, 1]")
         shared = int(math.floor(alpha * n))
@@ -258,9 +277,7 @@ def _mixture_cell_mass(sc: ShiftScenario, domain: Domain,
     cols = []
     for y in range(sc.n_classes):
         # the Gaussian pdf by scipy.stats.multivariate_normal's own steps
-        s, u = np.linalg.eigh(covs[y], UPLO="L")
-        if s.min() <= 0.0:
-            raise ScenarioError("class covariances must be positive definite")
+        s, u = np.linalg.eigh(covs[y], UPLO="L")  # s > 0: ShiftScenario checks it
         maha = np.sum(np.square((centers - means[y]) @ (u * np.sqrt(1.0 / s))), axis=-1)
         pdf = np.exp(-0.5 * (2 * np.log(2 * np.pi) + np.sum(np.log(s)) + maha))
         cols.append(marg[y] * pdf)

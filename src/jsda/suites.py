@@ -36,7 +36,7 @@ from .divergence import (
     pushforward,
     total_variation,
 )
-from .pmf import JointPmf, LossTable, Pmf
+from .pmf import JointPmf, LossTable, Pmf, marginals
 
 
 PMF_MAX_ATOMS, JOINT_MAX_X, JOINT_MAX_Y = 10, 8, 4  # largest random support sizes
@@ -134,19 +134,14 @@ def _matched_conditional_instance(rng) -> list[BoundReport]:
 
 def _prediction_gap_instance(rng) -> list[BoundReport]:
     s, t = random_joint_pair(rng)
-    nz, ny = s.shape
-    channel = rng.uniform(1e-6, 1.0, (nz, ny))
+    channel = rng.uniform(1e-6, 1.0, s.shape)
     channel /= channel.sum(axis=1, keepdims=True)
-    s_z = s.mass.sum(axis=1)
-    t_z = t.mass.sum(axis=1)
-    s_y = Pmf(s.y_atoms, s.mass.sum(axis=0) / s.mass.sum())
-    t_y = Pmf(t.y_atoms, t.mass.sum(axis=0) / t.mass.sum())
-    s_pred = Pmf(s.y_atoms, s_z @ channel / (s_z @ channel).sum())
-    t_pred = Pmf(t.y_atoms, t_z @ channel / (t_z @ channel).sum())
-    feature_js = js_divergence(Pmf(s.x_atoms, s_z / s_z.sum()),
-                               Pmf(t.x_atoms, t_z / t_z.sum()), "e")
+    s_x, s_y = marginals(s)
+    t_x, t_y = marginals(t)
+    s_pred, t_pred = (Pmf(s.y_atoms, pred / pred.sum())
+                      for pred in (s_x.probs @ channel, t_x.probs @ channel))
     return [prediction_gap_lower_bound(s_y, t_y, s_pred, t_pred,
-                                       observed_feature_js=feature_js)]
+                                       observed_feature_js=js_divergence(s_x, t_x, "e"))]
 
 
 def _conditional_shift_instance(rng) -> list[BoundReport]:

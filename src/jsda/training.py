@@ -330,7 +330,7 @@ def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
 
 def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
                       holdout: tuple[np.ndarray, np.ndarray], n_classes: int,
-                      ) -> tuple[np.ndarray, Pmf, WeightVector]:
+                      ) -> tuple[np.ndarray, np.ndarray, WeightVector]:
     """Refresh pseudo-labels, their distribution, and the shift weights.
 
     Pseudo-labels are the classifier argmax on the target set; the weights
@@ -343,7 +343,7 @@ def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
     hold_xs, hold_ys = holdout
     cm = confusion_matrix(predict_labels(m, hold_xs), hold_ys, n_classes=n_classes)
     alpha = bbsl_weights(cm, t_p)
-    return labels, Pmf(tuple(range(n_classes)), t_p / t_p.sum()), alpha
+    return labels, t_p / t_p.sum(), alpha
 
 
 def lambda_schedule(progress: float) -> float:
@@ -454,7 +454,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
         lam0 = lam_sched if "III" in cfg.principles else 0.0
         lam1 = cfg.cond_multiplier * lam_sched if "II" in cfg.principles else 0.0
         w = alpha_hat if "I" in cfg.principles else unit
-        class_weights = s_hat + t_p.probs
+        class_weights = s_hat + t_p
 
         rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
         order_s = rng.permutation(n_src)
@@ -484,7 +484,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
         trace.target_accuracy.append(float(np.mean(pseudo == tgt_all.ys)))
         trace.alpha_hat.append(alpha_hat.alpha)
         trace.alpha_used.append(w.alpha)
-        trace.t_p_hat.append(t_p.probs)
+        trace.t_p_hat.append(t_p)
         trace.lam0.append(lam0)
         trace.lam1.append(lam1)
         trace.kappa_ok.append(js_est <= KAPPA)

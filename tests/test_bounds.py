@@ -28,6 +28,7 @@ from jsda import (
     joint_upper_bound,
     js_divergence,
     label_conditional_floor,
+    marginals,
     matched_conditional_band,
     open_set_band,
     open_set_label_pair,
@@ -644,6 +645,20 @@ class TestPairTerms:
             for p in (2, 0, 1):  # each pair's verifiers in reverse order
                 for k in reversed(range(len(calls[p]))):
                     assert _outcome(calls[p][k]) == expected[p][k]
+
+    def test_marginal_js_equals_js_of_the_marginals(self):
+        """The marginal JS every verifier reads is ``js_divergence`` of the
+        ``marginals`` Pmfs bit for bit, on full and on sparse joints."""
+        rng = np.random.default_rng(0)
+        for trial in range(2000):
+            if trial % 2:
+                s, t = random_joint_pair(rng)
+            else:
+                nx, ny = int(rng.integers(1, 9)), int(rng.integers(2, 5))
+                s, t = _sparse_joint(rng, nx, ny), _sparse_joint(rng, nx, ny)
+            for i, axis in enumerate(("x", "y")):
+                want = js_divergence(marginals(s)[i], marginals(t)[i], "e")
+                assert _marginal_js(s, t, axis) == want
 
     def test_raising_pair_is_not_stored(self):
         s = JointPmf((0, 1), (0, 1), np.array([[0.5, 0.5], [0.0, 0.0]]))

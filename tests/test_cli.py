@@ -163,6 +163,28 @@ class TestScenarioCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("label-shift", {"n_classes": 0}, "need at least two classes"),
+        ("label-shift", {"n_classes": -1}, "need at least two classes"),
+        ("label-shift", {"cov_scale": "a"}, "cov_scale must be a finite real number, not 'a'"),
+        ("label-shift", {"cov_scale": 0}, "class covariances must be symmetric positive definite"),
+        ("label-shift", {"cov_scale": -1}, "class covariances must be symmetric positive definite"),
+        ("conditional-shift", {"rotation_deg": "x"},
+         "rotation_deg must be a finite real number, not 'x'"),
+        ("open-set", {"n": 4, "alpha": "a"}, "alpha must be a finite real number, not 'a'"),
+        ("cofeature", {"feature_shift": [1]}, "feature_shift must hold 2 numbers, not [1]"),
+        ("label-shift", {"seed": -1}, "seed must be >= 0, not -1"),
+    ], ids=["n_classes-0", "n_classes-negative", "cov_scale-string", "cov_scale-0",
+            "cov_scale-negative", "rotation_deg-string", "alpha-string", "feature_shift-short",
+            "seed-negative"])
+    def test_bad_generator_value_is_one_line_error(self, tmp_path, kind, params, message,
+                                                   capsys):
+        path = tmp_path / "sc.json"
+        assert dispatch(["scenario", "make", "--kind", kind, "--params", json.dumps(params),
+                         "--out", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("edit", [
         lambda d: list(d), lambda d: {**d, "bogus": 3}, lambda d: {**d, "kind": "cofeatur"},
         lambda d: {k: v for k, v in d.items() if k != "kind"}],

@@ -15,7 +15,6 @@ from jsda import (
     Pmf,
     conditionals,
     divergence,
-    entropy,
     h_divergence_1d,
     half_total_variation,
     js_distance,
@@ -168,8 +167,6 @@ class TestDivergenceValues:
         for base in ("10", 2, math.e):
             with pytest.raises(DistributionError, match="unsupported log base"):
                 divergence("JS", p, p, base)
-            with pytest.raises(DistributionError, match="unsupported log base"):
-                entropy(p, base)
 
     def test_one_pass_js_equals_two_pass_reference(self):
         rng = np.random.default_rng(41)

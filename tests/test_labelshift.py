@@ -59,7 +59,7 @@ class TestBBSLWeights:
         c = rng.uniform(0.1, 1.0, (3, 3))
         c /= c.sum()
         cm = ConfusionMatrix(c)
-        w = bbsl_weights(cm, cm.prediction_marginal)
+        w = bbsl_weights(cm, c.sum(axis=1))
         assert np.allclose(w.alpha, 1.0, atol=1e-9)
 
     def test_exact_recovery_pre_clipping(self):

@@ -118,6 +118,47 @@ class TestConstruction:
             make_scenario(kind, **{**params, name: value})
         make_scenario(kind, **{**params, name: np.int64(3)})  # a numpy integer passes
 
+    @pytest.mark.parametrize("name, value", [
+        ("cov_scale", "a"), ("cov_scale", math.nan), ("cov_scale", True),
+        ("rotation_deg", "x"), ("rotation_deg", math.inf), ("rotation_deg", None)])
+    def test_non_real_generator_value_rejected(self, name, value):
+        with pytest.raises(ScenarioError, match=f"{name} must be a finite real number"):
+            make_scenario("conditional-shift", **{name: value})
+
+    @pytest.mark.parametrize("alpha", ["a", math.nan, [0.5]])
+    def test_non_real_alpha_rejected(self, alpha):
+        with pytest.raises(ScenarioError, match="alpha must be a finite real number"):
+            make_scenario("open-set", n=4, alpha=alpha)
+
+    @pytest.mark.parametrize("shift, message", [
+        ([1.0], "must hold 2 numbers"), ((1.0, 2.0, 3.0), "must hold 2 numbers"),
+        (1.0, "must hold 2 numbers"), ((1.0, math.inf), "entry must be a finite real number"),
+        ("ab", "entry must be a finite real number"),
+        (np.ones((2, 2)), "entry must be a finite real number")])
+    def test_feature_shift_must_be_two_finite_reals(self, shift, message):
+        with pytest.raises(ScenarioError, match=f"feature_shift {message}"):
+            make_scenario("cofeature", feature_shift=shift)
+
+    def test_feature_shift_may_be_an_array(self):
+        sc = make_scenario("cofeature", feature_shift=np.array([1.0, 0.5]))
+        assert np.array_equal(sc.target_means - sc.source_means, np.full((2, 2), [1.0, 0.5]))
+
+    @pytest.mark.parametrize("cov", [[[1.0, 0.5], [0.4, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                                     [[0.0, 0.0], [0.0, 0.0]], [[-1.0, 0.0], [0.0, 1.0]]],
+                             ids=["asymmetric", "indefinite", "zero", "negative"])
+    @pytest.mark.parametrize("name", ["source_covs", "target_covs"])
+    def test_scenario_file_covariance_must_be_spd(self, name, cov):
+        d = make_scenario("label-shift").to_json_dict()
+        d[name][1] = cov
+        with pytest.raises(ScenarioError, match="symmetric positive definite"):
+            ShiftScenario.from_json_dict(d)
+
+    def test_scenario_file_seed_must_be_nonnegative(self):
+        d = make_scenario("label-shift").to_json_dict()
+        d["seed"] = -3
+        with pytest.raises(ScenarioError, match="seed must be >= 0, not -3"):
+            ShiftScenario.from_json_dict(d)
+
     @pytest.mark.parametrize("name, value", [("n_classes", 2.7), ("seed", 3.9),
                                              ("n_classes", 2.0), ("seed", False)])
     def test_scenario_file_with_non_integral_count_or_seed_rejected(self, name, value):
@@ -280,9 +321,10 @@ class TestDiscretization:
             discretize(ShiftScenario.from_json_dict(d), "source", grid=8)
 
     def test_degenerate_bounding_box(self):
+        # +-4 sd of 1e-15 vanishes in the rounding of means at 1e8
         d = make_scenario("label-shift", target_label_marginal=(0.8, 0.2),
-                          cov_scale=0.0).to_json_dict()
-        d["source_means"] = d["target_means"] = [[0.0, 0.0], [0.0, 0.0]]
+                          cov_scale=1e-30).to_json_dict()
+        d["source_means"] = d["target_means"] = [[1e8, 1e8], [1e8, 1e8]]
         sc = ShiftScenario.from_json_dict(d)
         with pytest.raises(ScenarioError, match="degenerate"):
             discretize(sc, "source", grid=8)

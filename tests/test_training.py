@@ -360,7 +360,7 @@ class TestPseudoLabels:
         labels, t_p, alpha = pseudo_label_step(m, tgt.xs, (hold.xs, hold.ys), 2)
         # all-zero logits break ties at class 0
         assert np.all(labels == 0)
-        assert t_p.probs[0] == 1.0
+        assert t_p[0] == 1.0
         # degenerate confusion matrix falls back gracefully
         assert alpha.method in ("lstsq", "fallback")
 
