@@ -39,7 +39,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .divergence import _js_nats, js_divergence
+from .divergence import _js_rows, js_divergence
 from .labelshift import WeightVector, _true_label_ratio, reweighted_risk
 from .pmf import (Axis, JointPmf, LossTable, MarginalAxis, Pmf, _conditional_entropy,
                   _marginal_probs, conditional_rows, expected_risk)
@@ -187,12 +187,10 @@ def _conditional_terms(s: JointPmf, t: JointPmf, axis: Axis) -> tuple:
     if s.x_atoms != t.x_atoms or s.y_atoms != t.y_atoms:
         raise BoundInputError("conditional terms require identical supports")
     (atoms, s_w, s_rows), (_, t_w, t_rows) = conditional_rows(s, axis), conditional_rows(t, axis)
-    both = ((s_w > 0) & (t_w > 0)).tolist()
-    js = np.array([_js_nats(p, q) if live else 0.0
-                   for p, q, live in zip(s_rows.tolist(), t_rows.tolist(), both)])
     one_sided = np.flatnonzero((s_w > 0) != (t_w > 0))
     if one_sided.size:
         raise BoundInputError(f"missing conditional at atom {atoms[one_sided[0]]!r}")
+    js = np.array(_js_rows(s_rows, t_rows, math.log))  # an all-zero row pair gives 0.0
     for a in (s_w, s_rows, t_w, t_rows, js):
         a.setflags(write=False)
     return (s_w, s_rows), (t_w, t_rows), js
@@ -210,7 +208,7 @@ def _joint_js(s: JointPmf, t: JointPmf) -> float:
 @lru_cache(maxsize=2)
 def _marginal_js(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
     """``js_divergence`` in nats of the two joints' ``marginals`` over X or Y, bit for bit."""
-    return _js_nats(_marginal_probs(s, axis).tolist(), _marginal_probs(t, axis).tolist())
+    return _js_rows(_marginal_probs(s, axis)[None], _marginal_probs(t, axis)[None], math.log)[0]
 
 
 def _conditional_shift(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:

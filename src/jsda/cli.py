@@ -60,6 +60,14 @@ def write_report(rows: list[dict], fmt: str, path: str | None) -> None:
             f.write(text)
 
 
+def seed(text: str) -> int:
+    """The argparse type of every --seed: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"--seed must be >= 0, not {value}")
+    return value
+
+
 def _cmd_counterexamples(args) -> int:
     reports = [cases.counterexample1(args.xi), cases.counterexample2()]
     rows = [r for rep in reports for r in rep.rows()]
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=seed, default=0)
         output(p)
 
     p = sub.add_parser("counterexamples",

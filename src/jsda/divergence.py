@@ -23,7 +23,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .pmf import DistributionError, JointPmf, Pmf, align_supports
+from .pmf import ARRAY_MIN_CELLS, DistributionError, JointPmf, Pmf, _row_fsums, align_supports
 
 DivergenceKind = Literal["KL", "JS", "TV", "Renyi2"]
 LogBase = Literal["e", "2"]
@@ -52,8 +52,11 @@ def _paired_probs(p: Pmf | JointPmf, q: Pmf | JointPmf) -> tuple[np.ndarray, np.
     raise DistributionError("divergence requires two Pmfs or two JointPmfs")
 
 
-# The kernels take aligned probability lists (``ndarray.tolist()``): a loop
-# over Python floats is several times faster than one over numpy scalars.
+# The scalar kernels loop over aligned probability lists (``ndarray.tolist()``),
+# several times faster than over numpy scalars. ``_js_rows`` takes whole arrays
+# from ARRAY_MIN_CELLS cells on, with the same bits (see ``jsda.pmf``); its logs
+# stay ``log`` calls on Python floats, as ``np.log`` differs in the last bit on
+# some inputs.
 
 def _kl(p: list[float], q: list[float], log) -> float:
     terms = []
@@ -77,9 +80,21 @@ def _js(p: list[float], q: list[float], log) -> float:
     return 0.5 * (math.fsum(p_terms) + math.fsum(q_terms))
 
 
-def _js_nats(p: list[float], q: list[float]) -> float:
-    """JS in nats of two aligned probability lists, clamped as ``divergence`` does."""
-    return _nonnegative(_js(p, q, math.log))
+def _js_rows(P: np.ndarray, Q: np.ndarray, log) -> list[float]:
+    """``_js`` of each row pair of two same-shape 2-D arrays, clamped as ``divergence``
+    does, bit for bit."""
+    if P.size < ARRAY_MIN_CELLS:
+        return [_nonnegative(_js(p, q, log)) for p, q in zip(P.tolist(), Q.tolist())]
+    both = (P > 0.0) & (Q > 0.0)
+    p, q = P[both], Q[both]
+    halves = []
+    for A, a in ((P, p), (Q, q)):
+        terms = A * log(2.0)  # 2a/(a + 0) is exactly 2 where only this side has mass
+        terms[both] = a * np.fromiter(map(log, (2.0 * a / (p + q)).tolist()), float, a.size)
+        live = A > 0.0
+        halves.append(np.array(_row_fsums(terms, live)))
+    js = 0.5 * (halves[0] + halves[1])
+    return list(map(_nonnegative, js.tolist())) if (js < 0.0).any() else js.tolist()
 
 
 def _renyi2(p: list[float], q: list[float], log) -> float:
@@ -101,16 +116,17 @@ def divergence(kind: DivergenceKind, p: Pmf | JointPmf, q: Pmf | JointPmf,
     the base (it is not logarithmic). Rounding noise above -1e-15 is
     reported as 0.0.
     """
-    pp, qq = (a.tolist() for a in _paired_probs(p, q))
+    pa, qa = _paired_probs(p, q)
     if base not in ("e", "2"):
         raise DistributionError(f"unsupported log base {base!r}; use 'e' or '2'")
     # computing directly in the requested base keeps e.g. the disjoint-support
     # JS bit-exact in base 2 (log2 of an exact power of two is exact)
     log = math.log2 if base == "2" else math.log
+    if kind == "JS":
+        return _js_rows(pa[None], qa[None], log)[0]
+    pp, qq = pa.tolist(), qa.tolist()
     if kind == "KL":
         v = _kl(pp, qq, log)
-    elif kind == "JS":
-        v = _js(pp, qq, log)
     elif kind == "TV":
         v = math.fsum(abs(a - b) for a, b in zip(pp, qq))
     elif kind == "Renyi2":

@@ -163,16 +163,34 @@ def _rotation(deg: float) -> np.ndarray:
     return np.array([[math.cos(r), -math.sin(r)], [math.sin(r), math.cos(r)]])
 
 
-def make_scenario(kind: str, *, n_classes: int = 2,
+# The parameters each kind does not read; make_scenario rejects them when passed.
+_UNREAD = {
+    "label-shift": ("rotation_deg", "feature_shift", "n", "alpha"),
+    "conditional-shift": ("feature_shift", "n", "alpha"),
+    "cofeature": ("target_label_marginal", "rotation_deg", "n", "alpha"),
+    "open-set": ("n_classes", "source_label_marginal", "target_label_marginal",
+                 "rotation_deg", "feature_shift"),
+}
+
+
+def make_scenario(kind: str, *, n_classes: int | None = None,
                   source_label_marginal: Sequence[float] | None = None,
                   target_label_marginal: Sequence[float] | None = None,
                   cov_scale: float = 0.5,
-                  rotation_deg: float = 30.0,
-                  feature_shift: Sequence[float] = (1.0, 0.5),
+                  rotation_deg: float | None = None,
+                  feature_shift: Sequence[float] | None = None,
                   n: int | None = None,
                   alpha: float | None = None,
                   seed: int = 0) -> ShiftScenario:
-    """Build a scenario of the requested kind (see module docstring)."""
+    """Build a scenario of the requested kind (see module docstring). A parameter
+    left at None takes its default; passing one the kind does not read is an error."""
+    given = locals()
+    unread = [name for name in _UNREAD.get(kind, ()) if given[name] is not None]
+    if unread:
+        raise ScenarioError(f"{kind} scenarios do not use {', '.join(unread)}")
+    n_classes = 2 if n_classes is None else n_classes
+    rotation_deg = 30.0 if rotation_deg is None else rotation_deg
+    feature_shift = (1.0, 0.5) if feature_shift is None else feature_shift
     _check_integer(n_classes, "n_classes")
     if n_classes < 2:
         raise ScenarioError("need at least two classes")

@@ -8,11 +8,13 @@ pinned minimal counterexamples for the printed constants that are not
 
 import dataclasses
 import hashlib
+import importlib
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jsda import (
@@ -41,6 +43,7 @@ from jsda.bounds import (BoundInputError, _conditional_terms, _joint_js,
 from jsda.pmf import DistributionError
 from jsda.scenarios import discretize, make_scenario, midpoint_classifier
 from jsda.suites import random_joint, random_joint_pair, run_suite, violations
+from test_divergence import ROW_SETTINGS, row_pairs
 
 LN2 = math.log(2.0)
 
@@ -570,6 +573,9 @@ def _grid_pair(kind, grid=24):
         sc = make_scenario(kind, n=1, alpha=0.5)
     elif kind == "cofeature":
         sc = make_scenario(kind, source_label_marginal=(0.6, 0.4), feature_shift=(0.8, -0.3))
+    elif kind == "label-shift":
+        sc = make_scenario(kind, source_label_marginal=(0.5, 0.5),
+                           target_label_marginal=(0.8, 0.2))
     else:
         sc = make_scenario(kind, source_label_marginal=(0.5, 0.5),
                            target_label_marginal=(0.8, 0.2), rotation_deg=35.0)
@@ -659,6 +665,33 @@ class TestPairTerms:
             for i, axis in enumerate(("x", "y")):
                 want = js_divergence(marginals(s)[i], marginals(t)[i], "e")
                 assert _marginal_js(s, t, axis) == want
+
+    @ROW_SETTINGS
+    @given(row_pairs(row_counts=(1, 2, 3, 8)))
+    def test_verifiers_equal_on_both_paths(self, pair):
+        """The verifiers that read every joint, marginal and conditional JS and the
+        entropies give the same fields, bit for bit, or the same error when all of these
+        are taken by the loops and when they are taken whole-array, on joints tiled from
+        drawn rows (dead, deterministic and identical rows likely). The size selection is
+        overridden, so small joints suffice."""
+        P, Q = pair
+        grids = [np.hstack(halves) for halves in ((P, Q), (Q, P))]
+        totals = [math.fsum(g.ravel().tolist()) for g in grids]
+        assume(min(totals) > 0.0)
+        l = LossTable(np.indices(grids[0].shape).sum(axis=0) % 2.0)
+        outcomes = []
+        for crossover in (0, 10**9):
+            s, t = (JointPmf(tuple(range(g.shape[0])), tuple(range(g.shape[1])), g / total)
+                    for g, total in zip(grids, totals))  # new joints: the memos miss
+            with patch.object(importlib.import_module("jsda.pmf"), "ARRAY_MIN_CELLS",
+                              crossover), \
+                 patch.object(importlib.import_module("jsda.divergence"), "ARRAY_MIN_CELLS",
+                              crossover):
+                outcomes.append([_outcome(call) for call in (
+                    lambda: decomposed_upper_bound(s, t, l, axis="x"),
+                    lambda: decomposed_upper_bound(s, t, l, axis="y"),
+                    lambda: intrinsic_error_upper_bound(s, t))])
+        assert outcomes[0] == outcomes[1]
 
     def test_raising_pair_is_not_stored(self):
         s = JointPmf((0, 1), (0, 1), np.array([[0.5, 0.5], [0.0, 0.0]]))

@@ -45,6 +45,19 @@ class TestDispatch:
         assert dispatch(["scenario", "make", "--kind", "conditional-shift"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [
+        ["verify-bounds", "--suite", "pinsker", "--trials", "2"], ["scenario", "make"],
+        ["label-shift"], ["train"], ["ablate"]], ids=lambda c: c[0])
+    def test_negative_seed_is_usage_error(self, scenario_file, tmp_path, command, capsys):
+        if command[0] in ("label-shift", "train", "ablate"):
+            command = [*command, "--scenario", str(scenario_file)]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            dispatch([*command, "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("--seed must be >= 0, not -1\n")
+        assert not out.exists()
+
     def test_counterexamples_pass(self, capsys):
         assert dispatch(["counterexamples"]) == 0
         out = capsys.readouterr().out
@@ -183,6 +196,15 @@ class TestScenarioCommands:
         assert dispatch(["scenario", "make", "--kind", kind, "--params", json.dumps(params),
                          "--out", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
+    def test_parameter_the_kind_does_not_read_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "sc.json"
+        params = {"n": 4, "alpha": 0.5, "source_label_marginal": [0.9, 0.1], "rotation_deg": 80}
+        assert dispatch(["scenario", "make", "--kind", "open-set", "--params",
+                         json.dumps(params), "--out", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: open-set scenarios do not use source_label_marginal, rotation_deg\n")
         assert not path.exists()
 
     @pytest.mark.parametrize("edit", [

@@ -1,8 +1,10 @@
 """Divergence tests: pinned values, sweep oracle, metric/inequality properties."""
 
+import importlib
 import math
 from fractions import Fraction
 from itertools import accumulate
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -26,7 +28,10 @@ from jsda import (
 )
 from jsda.bounds import BoundInputError, _conditional_terms
 from jsda.cases import counterexample1, interleaved_uniforms
-from jsda.divergence import _js
+from jsda.divergence import _js, _js_rows, _nonnegative
+from jsda.pmf import ARRAY_MIN_CELLS
+
+DIVERGENCE_MODULE = importlib.import_module("jsda.divergence")  # the package binds the function
 
 
 def random_pmf(rng, n=None):
@@ -367,6 +372,82 @@ class TestPairProperties:
             assert js_divergence(p, q, base) <= cap
         if math.fsum(p.probs.tolist()) == math.fsum(q.probs.tolist()) == 1.0:
             assert js_divergence(p, q, "2") == 1.0
+
+
+# Row cells: zero, the smallest subnormal and normal masses, a point mass, or (codes 4-7) a
+# uniform draw from the example's generator, which costs far less than a drawn float.
+ROW_CELLS = (0.0, 5e-324, 2.0**-1022, 1.0)
+# Row counts that put arrays of 1-3 columns on both sides of ARRAY_MIN_CELLS = 512.
+ROW_COUNTS = (1, 2, 5, 171, 257)
+# Half the examples keep the three row-kernel properties inside the property layer's
+# share of Tier-1 (about 3 s).
+ROW_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=50)
+
+
+def _normalised(r):
+    total = math.fsum(r)
+    return [v / total for v in r] if total > 0.0 else list(r)
+
+
+@st.composite
+def row_pairs(draw, row_counts=ROW_COUNTS):
+    """Two same-shape arrays of 1-3-atom rows, normalised by their fsum or all zero. They
+    mix up to six drawn row pairs with fresh uniform pairs; the drawn pairs make zero,
+    subnormal, one-sided, identical, deterministic and nearly identical rows likely (the
+    last have JS a few ulps either side of 0)."""
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def row():
+        code = draw(st.integers(0, 8**width - 1))  # one base-8 digit per cell
+        cells = [code // 8**k % 8 for k in range(width)]
+        return _normalised([ROW_CELLS[c] if c < 4 else float(rng.random()) for c in cells])
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = row()
+        partner = draw(st.sampled_from(["row", "same", "near", "point", "zero"]))
+        q = {"row": row, "same": lambda: p,
+             "near": lambda: _normalised([v * (1.0 + int(rng.integers(-3, 4)) * 2.0**-52)
+                                          for v in p]),
+             "point": lambda: [1.0] + [0.0] * (width - 1),
+             "zero": lambda: [0.0] * width}[partner]()
+        pairs.append((p, q))
+    def fresh():
+        return _normalised(rng.random(width).tolist()), _normalised(rng.random(width).tolist())
+
+    rows = [pairs[i] if i < len(pairs) else fresh()
+            for i in rng.integers(len(pairs) + 1, size=draw(st.sampled_from(row_counts)))]
+    return np.array([p for p, _ in rows]), np.array([q for _, q in rows])
+
+
+def js_rows_loops(P, Q, log):
+    """Reference: the scalar kernel on each row pair, clamped as ``divergence`` clamps."""
+    return [_nonnegative(_js(p, q, log)) for p, q in zip(P.tolist(), Q.tolist())]
+
+
+class TestJsRows:
+    """The whole-array JS kernel equals the scalar loop on every row, bit for bit, on both
+    sides of its size selection; ``repr`` tells -0.0 from 0.0."""
+
+    @ROW_SETTINGS
+    @given(row_pairs())
+    def test_equals_scalar_kernel_per_row(self, pair):
+        P, Q = pair
+        for log in (math.log, math.log2):
+            want = list(map(repr, js_rows_loops(P, Q, log)))
+            assert list(map(repr, _js_rows(P, Q, log))) == want
+            with patch.object(DIVERGENCE_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
+                assert list(map(repr, _js_rows(P, Q, log))) == want
+
+    @pytest.mark.parametrize("base", ["e", "2"])
+    def test_divergence_on_both_sides_of_the_crossover(self, base):
+        rng = np.random.default_rng(23)
+        log = math.log2 if base == "2" else math.log
+        for n in (ARRAY_MIN_CELLS - 1, ARRAY_MIN_CELLS, 4 * ARRAY_MIN_CELLS):
+            p, q = sparse_probs(rng, n), sparse_probs(rng, n)
+            got = js_divergence(Pmf(tuple(range(n)), p), Pmf(tuple(range(n)), q), base)
+            assert repr(got) == repr(_nonnegative(_js(p.tolist(), q.tolist(), log)))
 
 
 class TestConditionalFamily:

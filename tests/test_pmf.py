@@ -1,6 +1,8 @@
 """Distribution-core tests: validity, marginals/conditionals, risk, conditional entropy."""
 
+import importlib
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from jsda import (
     mixture,
 )
 from jsda.pmf import _conditional_entropy, conditional_rows
+from test_divergence import ROW_SETTINGS, row_pairs
+
+PMF_MODULE = importlib.import_module("jsda.pmf")
 
 
 def random_joint(rng, nx=None, ny=None):
@@ -285,6 +290,15 @@ class TestRowKernels:
                 want_w, want_rows = _per_row_conditional_rows(j, axis)
                 assert np.array_equal(weights, want_w) and np.array_equal(rows, want_rows)
 
+    def test_array_entropy_takes_math_log_where_np_log_differs(self):
+        """np.log misses math.log by an ulp on some inputs, which a total rarely shows;
+        on one-cell rows at such inputs the array path must still give the loop's bits."""
+        v = np.random.default_rng(63).random(200_000)
+        v = v[-v * np.log(v) != -v * np.array(list(map(math.log, v.tolist())))][:20]
+        with patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", 0):
+            for x in v.tolist():
+                assert repr(_conditional_entropy(np.ones(1), np.array([[x]]))) == repr(-x * math.log(x))
+
     def test_bad_row_sum_raises_the_same_message(self):
         # y|x row 1 sums to nan, row 0 to 0.0, row 2 to nan
         for mass in (np.array([[0.5, 0.5], [np.inf, 1.0]]),
@@ -297,6 +311,35 @@ class TestRowKernels:
                 with pytest.raises(DistributionError) as got:
                     conditional_rows(j, "y|x")
             assert str(got.value) == str(want.value)
+
+
+    @ROW_SETTINGS
+    @given(row_pairs(), st.sampled_from([1.0, 1e308, math.inf, math.nan]))
+    def test_both_paths_equal_the_per_row_loops(self, pair, spike):
+        """Both sides of the size selection give the loops' entropy bits (``repr`` tells
+        -0.0 from 0.0) and the loops' row-sum message, on drawn rows and weights."""
+        rows, other = pair
+        weights = other[:, 0]  # zero, subnormal and point weights
+        want = repr(math.fsum(w * _per_row_entropy(row)
+                              for w, row in zip(weights.tolist(), rows) if w > 0))
+        assert repr(_conditional_entropy(weights, rows)) == want
+        with patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
+            assert repr(_conditional_entropy(weights, rows)) == want
+            for row in rows[:64]:  # row by row, as a total can round a one-ulp term away
+                want = repr(math.fsum([_per_row_entropy(row)]))
+                assert repr(_conditional_entropy(np.ones(1), row[None])) == want
+        mass = rows * weights[:, None]
+        mass.flat[mass.size // 2] = mass.flat[mass.size // 2].item() * spike
+        j = _unvalidated_joint(mass)  # a non-finite cell fails the row-sum check
+        for axis in ("y|x", "x|y"):
+            outcomes = []
+            for rows_of in (conditional_rows, _per_row_conditional_rows):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        outcomes.append(repr([a.tolist() for a in rows_of(j, axis)[-2:]]))
+                    except DistributionError as e:
+                        outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestMixture:

@@ -108,10 +108,11 @@ class TestConstruction:
         with pytest.raises(ScenarioError, match="target_label_marginal must be finite"):
             make_scenario("label-shift", target_label_marginal=marginal)
 
-    @pytest.mark.parametrize("name, value", [
-        ("n_classes", 2.7), ("n_classes", 3.0), ("n_classes", True), ("n", 2.0),
-        ("n", False), ("seed", 1.5), ("seed", np.float64(3.0)), ("seed", True)])
-    @pytest.mark.parametrize("kind", ["label-shift", "open-set"])
+    @pytest.mark.parametrize("kind, name, value", [
+        *(("label-shift", "n_classes", v) for v in (2.7, 3.0, True)),
+        *(("open-set", "n", v) for v in (2.0, False)),
+        *((kind, "seed", v) for kind in ("label-shift", "open-set")
+          for v in (1.5, np.float64(3.0), True))])
     def test_non_integral_count_or_seed_rejected(self, kind, name, value):
         params = {"n": 4, "alpha": 0.5} if kind == "open-set" else {}
         with pytest.raises(ScenarioError, match=f"{name} must be an integer"):
@@ -120,7 +121,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("name, value", [
         ("cov_scale", "a"), ("cov_scale", math.nan), ("cov_scale", True),
-        ("rotation_deg", "x"), ("rotation_deg", math.inf), ("rotation_deg", None)])
+        ("rotation_deg", "x"), ("rotation_deg", math.inf)])
     def test_non_real_generator_value_rejected(self, name, value):
         with pytest.raises(ScenarioError, match=f"{name} must be a finite real number"):
             make_scenario("conditional-shift", **{name: value})
@@ -138,6 +139,27 @@ class TestConstruction:
     def test_feature_shift_must_be_two_finite_reals(self, shift, message):
         with pytest.raises(ScenarioError, match=f"feature_shift {message}"):
             make_scenario("cofeature", feature_shift=shift)
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("open-set", "n_classes", 3), ("open-set", "source_label_marginal", (0.9, 0.1)),
+        ("open-set", "target_label_marginal", (0.9, 0.1)), ("open-set", "rotation_deg", 80.0),
+        ("open-set", "feature_shift", (1.0, 0.5)), ("label-shift", "rotation_deg", 30.0),
+        ("label-shift", "feature_shift", (1.0, 0.5)), ("label-shift", "n", 4),
+        ("label-shift", "alpha", 0.5), ("conditional-shift", "feature_shift", (1.0, 0.5)),
+        ("conditional-shift", "n", 4), ("conditional-shift", "alpha", 0.5),
+        ("cofeature", "target_label_marginal", (0.8, 0.2)), ("cofeature", "rotation_deg", 30.0),
+        ("cofeature", "n", 4), ("cofeature", "alpha", 0.5)])
+    def test_parameter_the_kind_does_not_read_is_rejected(self, kind, name, value):
+        params = {"n": 4, "alpha": 0.5} if kind == "open-set" else {}
+        with pytest.raises(ScenarioError, match=f"^{kind} scenarios do not use {name}$"):
+            make_scenario(kind, **{**params, name: value})
+        make_scenario(kind, **{**params, name: None})  # None is the default: not passed
+
+    def test_every_unread_parameter_is_named(self):
+        with pytest.raises(ScenarioError, match="^open-set scenarios do not use "
+                           "source_label_marginal, rotation_deg$"):
+            make_scenario("open-set", n=4, alpha=0.5, source_label_marginal=(0.9, 0.1),
+                          rotation_deg=80)
 
     def test_feature_shift_may_be_an_array(self):
         sc = make_scenario("cofeature", feature_shift=np.array([1.0, 0.5]))
