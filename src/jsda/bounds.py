@@ -39,7 +39,7 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
-from .divergence import _js_rows, js_divergence
+from .divergence import _js_pair, _js_rows, js_divergence
 from .labelshift import WeightVector, _true_label_ratio, reweighted_risk
 from .pmf import (Axis, JointPmf, LossTable, MarginalAxis, Pmf, _conditional_entropy,
                   _marginal_probs, conditional_rows, expected_risk)
@@ -208,7 +208,7 @@ def _joint_js(s: JointPmf, t: JointPmf) -> float:
 @lru_cache(maxsize=2)
 def _marginal_js(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
     """``js_divergence`` in nats of the two joints' ``marginals`` over X or Y, bit for bit."""
-    return _js_rows(_marginal_probs(s, axis)[None], _marginal_probs(t, axis)[None], math.log)[0]
+    return _js_pair(_marginal_probs(s, axis), _marginal_probs(t, axis), math.log)
 
 
 def _conditional_shift(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:

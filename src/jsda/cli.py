@@ -18,7 +18,8 @@ from dataclasses import fields as dataclass_fields
 
 from . import cases, suites
 from .labelshift import estimate_scenario_weights
-from .scenarios import ShiftScenario, discretize, make_scenario, sample
+from .scenarios import (ShiftScenario, _check_integer, _json_object, discretize,
+                        make_scenario, sample)
 from .training import TrainConfig, ablate, run_training
 
 
@@ -63,8 +64,7 @@ def write_report(rows: list[dict], fmt: str, path: str | None) -> None:
 def seed(text: str) -> int:
     """The argparse type of every --seed: numpy's generators take no negative seed."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"--seed must be >= 0, not {value}")
+    _check_integer(value, "--seed", 0, argparse.ArgumentTypeError)
     return value
 
 
@@ -111,12 +111,9 @@ def _cmd_scenario(args) -> int:
     if args.action == "make":
         if not args.out:
             raise ValueError("scenario make requires --out <file>")
-        params = json.loads(args.params) if args.params else {}
-        if not isinstance(params, dict):
-            raise ValueError("--params must hold a JSON object")
-        unknown = set(params) - set(list(inspect.signature(make_scenario).parameters)[1:])
-        if unknown:  # kind is the first parameter; it comes from --kind
-            raise ValueError(f"unknown --params keys {sorted(unknown)}")
+        params = _json_object(json.loads(args.params) if args.params else {},
+                              list(inspect.signature(make_scenario).parameters)[1:],
+                              "--params")  # kind is the first parameter; it comes from --kind
         params.setdefault("seed", args.seed)
         sc = make_scenario(args.kind, **params)
         sc.save(args.out)
@@ -147,15 +144,9 @@ def _load_config(path: str | None, seed: int) -> TrainConfig:
     raw = {}
     if path:
         with open(path) as f:
-            raw = json.load(f)
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {path} must hold a JSON object")
-    raw.setdefault("seed", seed)
-    known = {f.name for f in dataclass_fields(TrainConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config fields {sorted(unknown)}")
-    return TrainConfig(**raw)
+            raw = _json_object(json.load(f), [c.name for c in dataclass_fields(TrainConfig)],
+                               "config")
+    return TrainConfig(**{"seed": seed, **raw})
 
 
 def _cmd_train(args) -> int:

@@ -97,6 +97,13 @@ def _js_rows(P: np.ndarray, Q: np.ndarray, log) -> list[float]:
     return list(map(_nonnegative, js.tolist())) if (js < 0.0).any() else js.tolist()
 
 
+def _js_pair(p: np.ndarray, q: np.ndarray, log) -> float:
+    """``_js_rows`` of one pair of 1-D arrays; below ARRAY_MIN_CELLS without the 2-D trip."""
+    if p.size < ARRAY_MIN_CELLS:
+        return _nonnegative(_js(p.tolist(), q.tolist(), log))
+    return _js_rows(p[None], q[None], log)[0]
+
+
 def _renyi2(p: list[float], q: list[float], log) -> float:
     total = []
     for pi, qi in zip(p, q):
@@ -123,7 +130,7 @@ def divergence(kind: DivergenceKind, p: Pmf | JointPmf, q: Pmf | JointPmf,
     # JS bit-exact in base 2 (log2 of an exact power of two is exact)
     log = math.log2 if base == "2" else math.log
     if kind == "JS":
-        return _js_rows(pa[None], qa[None], log)[0]
+        return _js_pair(pa, qa, log)
     pp, qq = pa.tolist(), qa.tolist()
     if kind == "KL":
         v = _kl(pp, qq, log)

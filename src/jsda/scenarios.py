@@ -45,14 +45,36 @@ class ScenarioError(ValueError):
     pass
 
 
-def _check_integer(value, name: str) -> None:
+def _check_integer(value, name: str, minimum: int,
+                   error: type[Exception] = ScenarioError) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ScenarioError(f"{name} must be an integer, not {value!r}")
+        raise error(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, not {value!r}")
 
 
-def _check_real(value, name: str) -> None:
+def _check_real(value, name: str, error: type[Exception] = ScenarioError) -> None:
     if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
-        raise ScenarioError(f"{name} must be a finite real number, not {value!r}")
+        raise error(f"{name} must be a finite real number, not {value!r}")
+
+
+def _check_fraction(value, name: str) -> None:
+    _check_real(value, name)
+    if not 0.0 < value <= 1.0:
+        raise ScenarioError(f"{name} must lie in (0, 1], not {value!r}")
+
+
+def _json_object(raw, known, what: str, required=()) -> dict:
+    """``raw`` if it is a JSON object whose keys lie in ``known`` and cover ``required``."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{what} must hold a JSON object")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ScenarioError(f"unknown {what} keys {sorted(unknown)}")
+    missing = [name for name in required if name not in raw]
+    if missing:
+        raise ScenarioError(f"missing {what} keys {missing}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -77,13 +99,9 @@ class ShiftScenario:
             if not np.isfinite(arr).all():
                 raise ScenarioError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
-        _check_integer(self.n_classes, "n_classes")
-        _check_integer(self.seed, "seed")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ScenarioError(f"seed must be >= 0, not {self.seed!r}")
+        _check_integer(self.n_classes, "n_classes", 2)
+        _check_integer(self.seed, "seed", 0)  # numpy's generators take no negative seed
         k = self.n_classes
-        if k < 2:
-            raise ScenarioError("need at least two classes")
         if self.source_means.shape != (k, 2) or self.target_means.shape != (k, 2):
             raise ScenarioError("class means must be (n_classes, 2)")
         if self.source_covs.shape != (k, 2, 2) or self.target_covs.shape != (k, 2, 2):
@@ -95,6 +113,7 @@ class ShiftScenario:
             if marg.shape != (k,) or np.any(marg < 0) or not abs(marg.sum() - 1.0) <= 1e-9:
                 raise ScenarioError("label marginals must be valid distributions")
         if self.overlap_alpha is not None:
+            _check_fraction(self.overlap_alpha, "overlap_alpha")
             n = int(np.count_nonzero(self.source_label_marginal))
             shared = np.count_nonzero(
                 (self.source_label_marginal > 0) & (self.target_label_marginal > 0))
@@ -116,16 +135,9 @@ class ShiftScenario:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ShiftScenario":
-        if not isinstance(d, dict):
-            raise ScenarioError("a scenario must be a JSON object")
-        unknown = set(d) - {f.name for f in fields(ShiftScenario)}
-        if unknown:
-            raise ScenarioError(f"unknown scenario fields {sorted(unknown)}")
-        missing = [f.name for f in fields(ShiftScenario)
-                   if f.default is MISSING and f.name not in d]
-        if missing:
-            raise ScenarioError(f"missing scenario fields {missing}")
-        return ShiftScenario(**d)
+        known = fields(ShiftScenario)
+        required = [f.name for f in known if f.default is MISSING]
+        return ShiftScenario(**_json_object(d, [f.name for f in known], "scenario", required))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -191,11 +203,9 @@ def make_scenario(kind: str, *, n_classes: int | None = None,
     n_classes = 2 if n_classes is None else n_classes
     rotation_deg = 30.0 if rotation_deg is None else rotation_deg
     feature_shift = (1.0, 0.5) if feature_shift is None else feature_shift
-    _check_integer(n_classes, "n_classes")
-    if n_classes < 2:
-        raise ScenarioError("need at least two classes")
+    _check_integer(n_classes, "n_classes", 2)
     if n is not None:
-        _check_integer(n, "n")
+        _check_integer(n, "n", 1)
     _check_real(cov_scale, "cov_scale")
     _check_real(rotation_deg, "rotation_deg")
     if not isinstance(feature_shift, (Sequence, np.ndarray)) or len(feature_shift) != 2:
@@ -203,11 +213,9 @@ def make_scenario(kind: str, *, n_classes: int | None = None,
     for value in feature_shift:
         _check_real(value, "each feature_shift entry")
     if kind == "open-set":
-        if n is None or alpha is None or n < 1:
-            raise ScenarioError("open-set needs n >= 1 (classes per domain) and alpha")
-        _check_real(alpha, "alpha")
-        if not 0.0 < alpha <= 1.0:
-            raise ScenarioError("alpha must lie in (0, 1]")
+        if n is None or alpha is None:
+            raise ScenarioError("open-set needs n (classes per domain) and alpha")
+        _check_fraction(alpha, "alpha")
         shared = int(math.floor(alpha * n))
         total = 2 * n - shared
         mu = _ring_means(total, radius=3.0)
@@ -248,8 +256,7 @@ def sample(sc: ShiftScenario, domain: Domain, n: int,
     Deterministic in (scenario seed, domain, n, stream); labels and features
     use separate substreams.
     """
-    if n <= 0:
-        raise ScenarioError("need n > 0")
+    _check_integer(n, "n", 1)
     means, covs, marg = sc.domain_params(domain)
     base = [sc.seed, _DOMAIN_CODE[domain], n, *map(int, stream)]
     rng_labels = np.random.default_rng(base + [_STREAM_LABELS])
@@ -311,8 +318,7 @@ def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
     scenarios the target joint is assembled as T(x) * S(y|x), which keeps the
     label-given-feature conditionals exactly equal across domains.
     """
-    if grid < 2:
-        raise ScenarioError("grid must be at least 2x2")
+    _check_integer(grid, "grid", 2)
     centers = _grid_centers(sc, grid)
     x_atoms = tuple(map(tuple, centers.tolist()))
     y_atoms = tuple(range(sc.n_classes))

@@ -35,8 +35,7 @@ GRAD_CHECK_STEP.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,7 +44,7 @@ from .bounds import label_conditional_floor
 from .divergence import js_divergence
 from .labelshift import WeightVector, bbsl_weights, confusion_matrix
 from .pmf import Pmf
-from .scenarios import SampleBatch, ShiftScenario, sample
+from .scenarios import SampleBatch, ShiftScenario, _check_integer, _check_real, sample
 
 LOG4 = 2.0 * math.log(2.0)
 
@@ -93,17 +92,16 @@ class TrainConfig:
     feature_bins: int = 24
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "seed", "hidden_width", "feature_width",
-                     "n_source", "n_target", "feature_bins"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TrainingError(f"{name} must be an integer, not {value!r}")
-        for name in ("learning_rate", "cond_multiplier"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TrainingError(f"{name} must be a real number, not {value!r}")
-        if not isinstance(self.track_feature_shift, bool):
-            raise TrainingError("track_feature_shift must be true or false")
+        for f in fields(self):  # each setting by its declared type
+            value = getattr(self, f.name)
+            if f.type == "int":
+                _check_integer(value, f.name, 0 if f.name == "seed" else 1, TrainingError)
+            elif f.type == "float":
+                _check_real(value, f.name, TrainingError)
+                if not value > 0:
+                    raise TrainingError(f"{f.name} must be positive, not {value!r}")
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise TrainingError(f"{f.name} must be true or false, not {value!r}")
         try:
             names = None if isinstance(self.principles, str) else frozenset(self.principles)
         except TypeError:  # not iterable, or holding unhashable items
@@ -111,11 +109,6 @@ class TrainConfig:
         if names is None:
             raise TrainingError("principles must be a collection of principle names")
         object.__setattr__(self, "principles", names)
-        if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate > 0:  # NaN fails too
-            raise TrainingError("epochs, batch_size, learning_rate must be positive")
-        for name in ("n_source", "n_target", "hidden_width", "feature_width", "feature_bins"):
-            if not getattr(self, name) >= 1:
-                raise TrainingError(f"{name} must be at least 1")
         if not self.principles or not self.principles <= set(PRINCIPLES):
             raise TrainingError("principles must be a nonempty subset of {I, II, III}")
         if not self.cond_multiplier > 1.0:

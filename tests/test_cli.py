@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from jsda import cases
+from jsda import cases, cli
 from jsda.cli import build_parser, dispatch, write_report
+from jsda.scenarios import make_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -177,8 +178,8 @@ class TestScenarioCommands:
         assert not path.exists()
 
     @pytest.mark.parametrize("kind, params, message", [
-        ("label-shift", {"n_classes": 0}, "need at least two classes"),
-        ("label-shift", {"n_classes": -1}, "need at least two classes"),
+        ("label-shift", {"n_classes": 0}, "n_classes must be >= 2, not 0"),
+        ("label-shift", {"n_classes": -1}, "n_classes must be >= 2, not -1"),
         ("label-shift", {"cov_scale": "a"}, "cov_scale must be a finite real number, not 'a'"),
         ("label-shift", {"cov_scale": 0}, "class covariances must be symmetric positive definite"),
         ("label-shift", {"cov_scale": -1}, "class covariances must be symmetric positive definite"),
@@ -218,6 +219,20 @@ class TestScenarioCommands:
         assert dispatch(["label-shift", "--scenario", str(bad), "--n", "400"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha, message", [
+        ("x", "must be a finite real number, not 'x'"),
+        (math.inf, "must be a finite real number, not inf"),
+        (math.nan, "must be a finite real number, not nan"),
+        (True, "must be a finite real number, not True"),
+        (0.0, "must lie in (0, 1], not 0.0"), (1.5, "must lie in (0, 1], not 1.5")],
+        ids=["string", "inf", "nan", "true", "zero", "above-one"])
+    def test_bad_overlap_alpha_is_one_line_error(self, tmp_path, alpha, message, capsys):
+        d = make_scenario("open-set", n=4, alpha=0.5).to_json_dict()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**d, "overlap_alpha": alpha}))
+        assert dispatch(["label-shift", "--scenario", str(bad), "--n", "400"]) == 1
+        assert capsys.readouterr() == ("", f"error: overlap_alpha {message}\n")
 
 
 class TestTrainCommands:
@@ -281,6 +296,22 @@ class TestTrainCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": -1}, "seed must be >= 0, not -1"),
+        ({"learning_rate": math.inf}, "learning_rate must be a finite real number, not inf"),
+        ({"cond_multiplier": math.inf},
+         "cond_multiplier must be a finite real number, not inf")],
+        ids=["seed-negative", "learning_rate-inf", "cond_multiplier-inf"])
+    def test_config_value_out_of_range_is_one_line_error(self, scenario_file, tmp_path,
+                                                         fields, message, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(cli, "run_training", lambda *a: pytest.fail("training started"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, **fields}))
+        assert dispatch(["train", "--scenario", str(scenario_file),
+                         "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     # the last four are module constants of jsda.training, not config fields
     @pytest.mark.parametrize("field, value", [
         ("optimizer", "adam"), ("k", -10.0), ("kappa", 0.05),
@@ -291,7 +322,7 @@ class TestTrainCommands:
         cfg.write_text(json.dumps({"epochs": 2, field: value}))
         assert dispatch(["train", "--scenario", str(scenario_file),
                          "--config", str(cfg)]) == 1
-        assert f"unknown config fields ['{field}']" in capsys.readouterr().err
+        assert f"unknown config keys ['{field}']" in capsys.readouterr().err
 
 
 class TestWriteReport:

@@ -190,18 +190,18 @@ class TestConstruction:
             ShiftScenario.from_json_dict(d)
 
     def test_scenario_file_must_hold_an_object(self):
-        with pytest.raises(ScenarioError, match="must be a JSON object"):
+        with pytest.raises(ScenarioError, match="must hold a JSON object"):
             ShiftScenario.from_json_dict([["kind", "label-shift"]])
 
     def test_scenario_file_with_unknown_key_rejected(self):
         d = make_scenario("label-shift").to_json_dict()
-        with pytest.raises(ScenarioError, match=r"unknown scenario fields \['bogus'\]"):
+        with pytest.raises(ScenarioError, match=r"unknown scenario keys \['bogus'\]"):
             ShiftScenario.from_json_dict({**d, "bogus": 3})
 
     def test_scenario_file_with_missing_key_rejected(self):
         d = make_scenario("label-shift").to_json_dict()
         del d["target_covs"]
-        with pytest.raises(ScenarioError, match=r"missing scenario fields \['target_covs'\]"):
+        with pytest.raises(ScenarioError, match=r"missing scenario keys \['target_covs'\]"):
             ShiftScenario.from_json_dict(d)
 
     def test_scenario_file_with_unknown_kind_rejected(self):
@@ -247,8 +247,13 @@ class TestSampling:
 
     def test_n_must_be_positive(self):
         sc = make_scenario("conditional-shift")
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="^n must be >= 1, not 0$"):
             sample(sc, "source", 0)
+
+    def test_n_must_be_an_integer(self):
+        sc = make_scenario("conditional-shift")
+        with pytest.raises(ScenarioError, match="^n must be an integer, not 2.5$"):
+            sample(sc, "source", 2.5)
 
 
 class TestSampleBatch:
@@ -322,8 +327,13 @@ class TestDiscretization:
 
     def test_grid_lower_bound(self):
         sc = make_scenario("conditional-shift")
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="^grid must be >= 2, not 1$"):
             discretize(sc, "source", grid=1)
+
+    def test_grid_must_be_an_integer(self):
+        sc = make_scenario("conditional-shift")
+        with pytest.raises(ScenarioError, match="^grid must be an integer, not 2.5$"):
+            discretize(sc, "source", grid=2.5)
 
     def test_cell_mass_equals_scipy_pdf(self):
         from scipy import stats

@@ -93,6 +93,15 @@ class TestConfigAndInit:
         with pytest.raises(TrainingError):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("name, value", [
+        (f.name, value) for f in dataclasses.fields(TrainConfig)
+        for value in ("1", *((True, math.inf, -math.inf)
+                             if type(f.default) in (int, float) else ()))])
+    def test_every_setting_rejects_a_wrong_typed_value(self, name, value):
+        # derived from the fields, so a setting added later cannot skip the check
+        with pytest.raises(TrainingError, match=name):
+            TrainConfig(**{name: value})
+
     def test_init_deterministic(self):
         cfg = TrainConfig(seed=7)
         a = init_models(cfg)
