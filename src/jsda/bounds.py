@@ -43,7 +43,8 @@ from .divergence import _js_pair, _js_rows, js_divergence
 from .labelshift import WeightVector, _true_label_ratio, reweighted_risk
 from .pmf import (Axis, JointPmf, LossTable, MarginalAxis, Pmf, _conditional_entropy,
                   _marginal_probs, conditional_rows, expected_risk)
-from .scenarios import linear_zero_one_risk, make_scenario, midpoint_classifier, sample
+from .scenarios import (_check_fraction, _check_integer, linear_zero_one_risk, make_scenario,
+                        midpoint_classifier, sample)
 
 VERDICT_TOL = 1e-9
 HYPOTHESIS_TOL = 1e-9
@@ -274,8 +275,7 @@ def open_set_band(r_s: float, alpha: float, delta: float,
     target risk is supplied it becomes the lhs; otherwise the report is the
     band itself around R_S.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise BoundInputError("overlap fraction alpha must lie in (0, 1]")
+    _check_fraction(alpha, "overlap fraction alpha", BoundInputError)
     _check_nonnegative(delta, "conditional-shift level delta")
     _check_nonnegative(r_s, "source risk")
     if r_t is not None:
@@ -391,8 +391,7 @@ def reweighted_convergence_check(scenario, n_grid: Sequence[int],
     and median gap and the median of gap*sqrt(n); no rate constant is
     asserted, only reported.
     """
-    if repeats < 1:
-        raise BoundInputError("the convergence check needs at least one repeat")
+    _check_integer(repeats, "repeats", 1, BoundInputError)
     w_vec, b = midpoint_classifier(scenario)
     r_t = linear_zero_one_risk(scenario, "target", w_vec, b)
     weights = WeightVector(_true_label_ratio(scenario))

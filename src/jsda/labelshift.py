@@ -75,9 +75,7 @@ def confusion_matrix(preds: Sequence[int], labels: Sequence[int],
     k = int(n_classes)
     if p.min() < 0 or l.min() < 0 or p.max() >= k or l.max() >= k:
         raise LabelShiftError(f"class indices must lie in [0, {k})")
-    c = np.zeros((k, k))
-    np.add.at(c, (p, l), 1.0)
-    return ConfusionMatrix(c / p.size)
+    return ConfusionMatrix(np.bincount(p * k + l, minlength=k * k).reshape(k, k) / p.size)
 
 
 def bbsl_weights(c: ConfusionMatrix, t_pred: np.ndarray) -> WeightVector:
@@ -93,7 +91,6 @@ def bbsl_weights(c: ConfusionMatrix, t_pred: np.ndarray) -> WeightVector:
     if t.shape != (mat.shape[0],):
         raise LabelShiftError("target prediction marginal has the wrong length")
     s_y = c.source_label_marginal
-    ones = WeightVector(np.ones(mat.shape[0]), method="fallback")
 
     cond = np.linalg.cond(mat)
     method: SolveMethod
@@ -103,16 +100,15 @@ def bbsl_weights(c: ConfusionMatrix, t_pred: np.ndarray) -> WeightVector:
     else:
         alpha, *_ = np.linalg.lstsq(mat, t, rcond=None)
         residual = float(np.linalg.norm(mat @ alpha - t))
-        if residual > RESIDUAL_TOL:
-            return ones
-        method = "lstsq"
+        method = "fallback" if residual > RESIDUAL_TOL else "lstsq"
 
-    clipped = bool(np.any(alpha < 0))
-    alpha = np.clip(alpha, 0.0, None)
-    denom = float(alpha @ s_y)
-    if denom <= 0.0 or not math.isfinite(denom):
-        return ones
-    return WeightVector(alpha / denom, method=method, clipped=clipped)
+    if method != "fallback":
+        clipped = bool(np.any(alpha < 0))
+        alpha = np.clip(alpha, 0.0, None)
+        denom = float(alpha @ s_y)
+        if denom > 0.0 and math.isfinite(denom):
+            return WeightVector(alpha / denom, method=method, clipped=clipped)
+    return WeightVector(np.ones(mat.shape[0]), method="fallback")
 
 
 def reweighted_risk(labels: Sequence[int], losses: Sequence[float],

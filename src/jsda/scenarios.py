@@ -58,10 +58,10 @@ def _check_real(value, name: str, error: type[Exception] = ScenarioError) -> Non
         raise error(f"{name} must be a finite real number, not {value!r}")
 
 
-def _check_fraction(value, name: str) -> None:
-    _check_real(value, name)
+def _check_fraction(value, name: str, error: type[Exception] = ScenarioError) -> None:
+    _check_real(value, name, error)
     if not 0.0 < value <= 1.0:
-        raise ScenarioError(f"{name} must lie in (0, 1], not {value!r}")
+        raise error(f"{name} must lie in (0, 1], not {value!r}")
 
 
 def _json_object(raw, known, what: str, required=()) -> dict:

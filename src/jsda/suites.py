@@ -37,6 +37,7 @@ from .divergence import (
     total_variation,
 )
 from .pmf import JointPmf, LossTable, Pmf, marginals
+from .scenarios import _check_integer
 
 
 PMF_MAX_ATOMS, JOINT_MAX_X, JOINT_MAX_Y = 10, 8, 4  # largest random support sizes
@@ -211,8 +212,7 @@ def run_suite(name: str, trials: int, seed: int) -> list[BoundReport]:
     """All reports from ``trials`` independent instances of one suite."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_integer(trials, "trials", 1, ValueError)
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
     gen = _SUITES[name]
     reports: list[BoundReport] = []

@@ -14,10 +14,12 @@ objective combines
 
 One forward and one backward pass per step give the gradient of the
 weighted objective; the gradient audit checks each term alone by switching
-the other terms' weights off. The step treats every class of both domains
-at once: one weighted bincount sums each class's features, masks blend the
-sums with the stored centroids, and one row gather scatters the term-II
-gradient back; only the scalar loss walks the active classes in Python.
+the other terms' weights off. Each epoch is staged once: its rows are
+gathered batch by batch, and all that depends on labels alone (range check,
+term-I picks, term-II bincount index, masks and gradient steps) is computed
+for every batch at once. A step sums each class's features with one weighted
+bincount and scatters the term-II gradient back with one row gather; the
+parameters are views of one flat vector, which each step updates in place.
 
 Training alternates epochs of gradient steps with a pseudo-label refresh
 that re-estimates target labels, their distribution, and the black-box shift
@@ -206,6 +208,124 @@ def _softplus(u: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, u)
 
 
+_TERMS = ("weighted_source", "conditional", "adversarial", "js_estimate", "total")
+
+
+def _flat(m: ModelParams, flat: np.ndarray | None = None) -> tuple[np.ndarray, ModelParams]:
+    """A flat vector in m's field order (m's values unless given) and its field views."""
+    items = m.param_items()
+    flat = np.concatenate([arr.ravel() for _, arr in items]) if flat is None else flat
+    parts = np.split(flat, np.cumsum([arr.size for _, arr in items])[:-1])
+    return flat, ModelParams(**{n: p.reshape(arr.shape) for (n, arr), p in zip(items, parts)})
+
+
+def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
+           width: int, alpha: np.ndarray, counts: np.ndarray, lam1: float,
+           class_weights: np.ndarray | None, lam_source: float = 1.0,
+           ) -> tuple[list[tuple], np.ndarray]:
+    """Each batch pair's step inputs that depend only on labels, and the final counts.
+
+    ``xs`` and ``lab`` hold batch b's ``sizes[b, 0]`` source rows, then its
+    ``sizes[b, 1]`` target rows, batch by batch; ``counts`` are the centroid counts
+    before the first batch. ``class_weights`` None: a lone pair's label frequencies."""
+    if lab.size and (np.minimum.reduce(lab) < 0 or np.maximum.reduce(lab) >= n_classes):
+        raise TrainingError(f"labels must lie in [0, {n_classes})")
+    k, ns, nt, per_part = 2 * n_classes, sizes[:, 0], sizes[:, 1], sizes.ravel()
+    part = np.repeat(np.arange(per_part.size), per_part)  # 2b: batch b's source rows
+    lab = lab + n_classes * (part & 1)  # row y: source class y; row C + y: target class y
+    n_batch = np.bincount(part // 2 * k + lab, minlength=len(sizes) * k).reshape(-1, k, 1)
+    present = n_batch > 0
+    seen = counts[:, None] + np.cumsum(present, axis=0) - present > 0  # stored before batch b
+    gain = np.where(present, np.where(seen, 1.0 - CENTROID_MOMENTUM, 1.0), 0.0)  # d mu / d mean
+    known = (present | seen)[..., 0]
+    active = known[:, :n_classes] & known[:, n_classes:]
+    if class_weights is None:
+        class_weights = n_batch[0, :n_classes, 0] / ns[0] + n_batch[0, n_classes:, 0] / nt[0]
+    scale = 2.0 * lam1 * np.where(active, class_weights, 0.0)
+    n_rows = np.maximum(n_batch, 1)
+    step = np.concatenate((scale, -scale), axis=1)[..., None] * gain / n_rows
+    ys = lab[part & 1 == 0]
+    first = np.cumsum(ns) - ns  # each batch's first source row
+    pick = (np.arange(ys.size) - np.repeat(first, ns)) * n_classes + ys  # [row, y] of the logits
+    alpha = alpha[ys]
+    coef = (lam_source * alpha / np.repeat(ns, ns))[:, None]
+    scatter = np.take(np.arange(k * width).reshape(k, width), lab, axis=0).ravel()
+    rows, src = np.cumsum(np.append(0, ns + nt)).tolist(), [*first.tolist(), ys.size]
+    by_row = [[arr[a * n:b * n] for a, b in zip(rows, rows[1:])]
+              for arr, n in ((xs, 1), (lab, 1), (scatter, width))]
+    by_source = [[arr[a:b] for a, b in zip(src, src[1:])] for arr in (pick, alpha, coef)]
+    actives = [[(y, class_weights[y]) for y, on in enumerate(row) if on]
+               for row in active.tolist()]
+    return (list(zip(*by_row, *by_source, ns.tolist(), nt.tolist(), present, seen, n_rows,
+                     step, actives)), counts + np.add.reduce(present[..., 0], axis=0))
+
+
+def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
+          lam0: float, lam1: float, lam_source: float) -> tuple[tuple, np.ndarray]:
+    """One staged batch pair's loss breakdown, in ``_TERMS`` order, and its
+    committed centroids; the gradient goes into the arrays of ``g``."""
+    xs, lab, scatter, pick, alpha, coef_s, ns, nt, present, seen, n_rows, step, active = batch
+    z, a = features(m, xs)
+    z_s = z[:ns]
+    dz = np.zeros(z.shape)
+
+    # term I: reweighted cross-entropy on the source rows
+    logits = class_logits(m, z_s)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    t1 = float(-(np.add.reduce(alpha * (shifted.ravel()[pick] - np.log(total).ravel())) / ns))
+    dlogits = e / total  # the softmax
+    dlogits.ravel()[pick] -= 1.0
+    dlogits *= coef_s
+    dz[:ns] += dlogits @ m.wh
+
+    # term II: weighted squared centroid distances; bincount adds each class's
+    # rows in order, so its sums equal the per-class z[idx].sum(axis=0)
+    sums = np.bincount(scatter, weights=z.ravel(), minlength=mu.size)
+    mean = sums.reshape(mu.shape) / n_rows
+    rho = CENTROID_MOMENTUM
+    mu = np.where(present, np.where(seen, rho * mu + (1.0 - rho) * mean, mean), mu)
+    diff = mu[:len(mu) // 2] - mu[len(mu) // 2:]
+    t2 = 0.0
+    for y, weight in active:
+        t2 += weight * float(diff[y] @ diff[y])
+    dz += np.take(step * np.concatenate((diff, diff)), lab, axis=0)
+
+    # term III: adversarial estimate of the feature-marginal divergence
+    u = z @ m.wd + m.bd[0]
+    radv = float(-(np.add.reduce(_softplus(-u[:ns])) / ns)
+                 - np.add.reduce(_softplus(u[ns:])) / nt)
+    sig = _sigmoid(u)
+    coef = lam0 * np.concatenate(((1.0 - sig[:ns]) / ns, -sig[ns:] / nt))
+    dz += coef[:, None] * m.wd
+
+    da = (dz @ m.w2) * (1.0 - a * a)
+    for grad_w, grad_b, d, inputs in ((g.w1, g.b1, da, xs), (g.w2, g.b2, dz, a),
+                                      (g.wh, g.bh, dlogits, z_s)):
+        np.matmul(d.T, inputs, out=grad_w)
+        np.add.reduce(d, axis=0, out=grad_b)
+    np.matmul(coef, z, out=g.wd)
+    np.add.reduce(coef, axis=0, keepdims=True, out=g.bd)
+    return (t1, t2, radv, (radv + LOG4) / 2.0, lam_source * t1 + lam1 * t2 + lam0 * radv), mu
+
+
+def _descend(theta: np.ndarray, g: np.ndarray, grads: ModelParams, lr: float,
+             parts: Iterable[float]) -> None:
+    """Check a step's loss terms and gradient, then move theta in place by -lr * g
+    on the extractor and classifier and by +lr * g on the discriminator."""
+    for term, value in zip(_TERMS, parts):
+        if not math.isfinite(value):
+            raise TrainingError(f"non-finite loss in term {term!r}")
+    if not np.isfinite(g).all():
+        name = next(n for n, arr in grads.param_items() if not np.isfinite(arr).all())
+        raise TrainingError(f"non-finite gradient in {name}")
+    d = g.size - grads.wd.size - 1  # the discriminator's wd and bd come last
+    g[:d] *= -lr
+    g[d:] *= lr
+    theta += g
+
+
 def loss_and_gradients(
     m: ModelParams, src: SampleBatch, tgt: SampleBatch, st: CentroidState,
     w: WeightVector, lam0: float, lam1: float,
@@ -224,77 +344,12 @@ def loss_and_gradients(
     domain's stored centroid, and a class with neither is skipped. All classes
     of both domains go at once, in the row layout of :class:`CentroidState`.
     """
-    n_classes = m.n_classes
-    ns, nt = len(src), len(tgt)
-    lab = np.concatenate((src.ys, tgt.ys))
-    if lab.size and (np.minimum.reduce(lab) < 0 or np.maximum.reduce(lab) >= n_classes):
-        raise TrainingError(f"labels must lie in [0, {n_classes})")
-    lab[ns:] += n_classes  # row y: source class y; row n_classes + y: target class y
-    xs = np.concatenate((src.xs, tgt.xs))
-    z, a = features(m, xs)
-    z_s = z[:ns]
-    dz = np.zeros(z.shape)
-
-    if class_weights is None:
-        s_hat = np.bincount(src.ys, minlength=n_classes) / ns
-        t_hat = np.bincount(tgt.ys, minlength=n_classes) / nt
-        class_weights = s_hat + t_hat
-
-    # term I: reweighted cross-entropy on the source batch
-    logits = class_logits(m, z_s)
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = np.add.reduce(e, axis=1, keepdims=True)
-    alpha = w.alpha[src.ys]
-    rows = np.arange(ns)
-    t1 = float(-(np.add.reduce(alpha * (shifted - np.log(total))[rows, src.ys]) / ns))
-    dlogits = e / total  # the softmax
-    dlogits[rows, src.ys] -= 1.0
-    dlogits *= (lam_source * alpha / ns)[:, None]
-    dz[:ns] += dlogits @ m.wh
-
-    # term II: weighted squared centroid distances; bincount adds each class's
-    # rows in order, so its sums equal the per-class z[idx].sum(axis=0)
-    width = z.shape[1]
-    counts = np.bincount(lab, minlength=2 * n_classes)
-    sums = np.bincount((lab[:, None] * width + np.arange(width)).ravel(),
-                       weights=z.ravel(), minlength=2 * n_classes * width)
-    n_rows = np.maximum(counts, 1)
-    mean = sums.reshape(-1, width) / n_rows[:, None]
-    seen = st.counts > 0
-    present = counts > 0
-    rho = CENTROID_MOMENTUM
-    blend = np.where(seen[:, None], rho * st.mu + (1.0 - rho) * mean, mean)
-    mu = np.where(present[:, None], blend, st.mu)
-    gain = np.where(present, np.where(seen, 1.0 - rho, 1.0), 0.0)  # d mu / d mean
-    new_st = CentroidState(mu, st.counts + present)
-    known = present | seen
-    active = known[:n_classes] & known[n_classes:]
-    diff = mu[:n_classes] - mu[n_classes:]
-    t2 = 0.0
-    for y in active.nonzero()[0]:
-        t2 += class_weights[y] * float(diff[y] @ diff[y])
-    scale = 2.0 * lam1 * np.where(active, class_weights, 0.0)
-    step = np.concatenate((scale, -scale)) * gain / n_rows
-    dz += (step[:, None] * np.concatenate((diff, diff)))[lab]
-
-    # term III: adversarial estimate of the feature-marginal divergence
-    u = z @ m.wd + m.bd[0]
-    radv = float(-(np.add.reduce(_softplus(-u[:ns])) / ns)
-                 - np.add.reduce(_softplus(u[ns:])) / nt)
-    sig = _sigmoid(u)
-    coef = lam0 * np.concatenate(((1.0 - sig[:ns]) / ns, -sig[ns:] / nt))
-    dz += coef[:, None] * m.wd
-
-    da = (dz @ m.w2) * (1.0 - a * a)
-    grads = {"w1": da.T @ xs, "b1": np.add.reduce(da),
-             "w2": dz.T @ a, "b2": np.add.reduce(dz),
-             "wh": dlogits.T @ z_s, "bh": np.add.reduce(dlogits),
-             "wd": coef @ z, "bd": np.add.reduce(coef, keepdims=True)}
-    breakdown = {"weighted_source": t1, "conditional": t2, "adversarial": radv,
-                 "js_estimate": (radv + LOG4) / 2.0,
-                 "total": lam_source * t1 + lam1 * t2 + lam0 * radv}
-    return breakdown, grads, new_st
+    xs, lab = np.concatenate((src.xs, tgt.xs)), np.concatenate((src.ys, tgt.ys))
+    (batch,), counts = _stage(xs, lab, np.array([[len(src), len(tgt)]]), m.n_classes,
+                              m.feature_width, w.alpha, st.counts, lam1, class_weights, lam_source)
+    g, grads = _flat(m, np.empty(sum(arr.size for _, arr in m.param_items())))
+    parts, mu = _step(m, grads, batch, st.mu, lam0, lam1, lam_source)
+    return dict(zip(_TERMS, parts)), dict(grads.param_items()), CentroidState(mu, counts)
 
 
 def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
@@ -305,20 +360,12 @@ def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
 
     The discriminator moves along +grad of the objective, which only term
     III reaches, while the extractor and classifier move along -grad of the
-    same objective (the reversal).
+    same objective (the reversal). ``m`` is left as it was.
     """
-    breakdown, grads, new_st = loss_and_gradients(
-        m, src, tgt, st, w, lam0, lam1, class_weights)
-    for term, value in breakdown.items():
-        if not math.isfinite(value):
-            raise TrainingError(f"non-finite loss in term {term!r}")
-    out = {}
-    for name, arr in m.param_items():
-        g = grads[name]
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient in {name}")
-        out[name] = arr + (lr if name in ("wd", "bd") else -lr) * g
-    return ModelParams(**out), new_st, breakdown
+    breakdown, grads, new_st = loss_and_gradients(m, src, tgt, st, w, lam0, lam1, class_weights)
+    (theta, out), (g, flat_grads) = _flat(m), _flat(ModelParams(**grads))
+    _descend(theta, g, flat_grads, lr, breakdown.values())
+    return out, new_st, breakdown
 
 
 def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
@@ -433,40 +480,38 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
     holdout = (src_all.xs[hold_idx], src_all.ys[hold_idx])
     src_xs, src_ys = src_all.xs[train_idx], src_all.ys[train_idx]
 
-    m = init_models(cfg, n_classes=sc.n_classes)
+    theta, m = _flat(init_models(cfg, n_classes=sc.n_classes))
+    g, grads = _flat(m, np.empty_like(theta))
     st = CentroidState.empty(sc.n_classes, cfg.feature_width)
     trace = TrainTrace()
     unit = WeightVector(np.ones(sc.n_classes))
     s_hat = np.bincount(src_ys, minlength=sc.n_classes) / src_ys.size
+    all_xs = np.concatenate((src_xs, tgt_all.xs))
 
     pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
-    n_src, n_tgt = src_ys.size, len(tgt_all)
+    n_src, n_tgt, size = src_ys.size, len(tgt_all), cfg.batch_size
     for epoch in range(cfg.epochs):
-        progress = epoch / max(1, cfg.epochs - 1)
-        lam_sched = lambda_schedule(progress)
+        lam_sched = lambda_schedule(epoch / max(1, cfg.epochs - 1))
         lam0 = lam_sched if "III" in cfg.principles else 0.0
         lam1 = cfg.cond_multiplier * lam_sched if "II" in cfg.principles else 0.0
         w = alpha_hat if "I" in cfg.principles else unit
-        class_weights = s_hat + t_p
 
         rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
         order_s = rng.permutation(n_src)
         # the target order wraps around so that every source row has a partner
-        order_t = np.take(rng.permutation(n_tgt), np.arange(n_src), mode="wrap")
-        s_xs, s_ys = src_xs[order_s], src_ys[order_s]
-        t_xs, t_ys = tgt_all.xs[order_t], pseudo[order_t]
-        for gathered in (s_xs, s_ys, t_xs, t_ys):  # so the batches slice them uncopied
-            gathered.setflags(write=False)
+        order_t = n_src + np.take(rng.permutation(n_tgt), np.arange(n_src), mode="wrap")
+        starts = np.arange(0, n_src, size)  # batch b pairs these source and target rows
+        rows = np.concatenate([o[lo:lo + size] for lo in starts for o in (order_s, order_t)])
+        batches, st.counts = _stage(
+            np.take(all_xs, rows, axis=0), np.concatenate((src_ys, pseudo))[rows],
+            np.minimum(size, n_src - starts).repeat(2).reshape(-1, 2), sc.n_classes,
+            cfg.feature_width, w.alpha, st.counts, lam1, s_hat + t_p)
         breakdowns = []
-        for lo in range(0, n_src, cfg.batch_size):
-            hi = lo + cfg.batch_size
-            src_batch = SampleBatch(s_xs[lo:hi], s_ys[lo:hi])
-            tgt_batch = SampleBatch(t_xs[lo:hi], t_ys[lo:hi])
-            m, st, breakdown = train_step(
-                m, src_batch, tgt_batch, st, w, lam0, lam1, cfg.learning_rate,
-                class_weights=class_weights)
-            breakdowns.append(breakdown)
-        mean = {term: float(np.mean([b[term] for b in breakdowns])) for term in breakdowns[0]}
+        for batch in batches:
+            parts, st.mu = _step(m, grads, batch, st.mu, lam0, lam1, 1.0)
+            _descend(theta, g, grads, cfg.learning_rate, parts)
+            breakdowns.append(parts)
+        mean = dict(zip(_TERMS, (float(np.mean(v)) for v in zip(*breakdowns))))
 
         pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
         # disabled principles report an exact zero in their trace column
@@ -489,7 +534,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
             trace.feature_js.append(stats["feature_js"])
             trace.conditional_floor.append(stats["conditional_floor"])
 
-    trace.model = m
+    trace.model = ModelParams(**{name: arr.copy() for name, arr in m.param_items()})
     return trace
 
 

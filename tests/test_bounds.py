@@ -340,12 +340,17 @@ class TestOpenSet:
                                            abs=1e-12)
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(BoundInputError):
+        with pytest.raises(BoundInputError, match="alpha"):
             open_set_band(0.3, alpha=0.0, delta=0.0)
-        with pytest.raises(BoundInputError):
+        with pytest.raises(BoundInputError, match="alpha"):
             open_set_band(0.3, alpha=1.2, delta=0.0)
         with pytest.raises(BoundInputError, match="alpha"):
             open_set_band(0.3, alpha=math.nan, delta=0.0)
+
+    @pytest.mark.parametrize("alpha", [True, "x", None])
+    def test_alpha_that_is_not_a_real_number_is_rejected(self, alpha):
+        with pytest.raises(BoundInputError, match="alpha must be a finite real number"):
+            open_set_band(0.3, alpha=alpha, delta=0.0)
 
     def test_non_finite_or_negative_risk(self):
         for bad in (math.nan, -0.1, math.inf):
@@ -519,8 +524,14 @@ class TestReweightedConvergence:
     def test_no_repeats_is_an_error(self):
         from jsda import reweighted_convergence_check
         for repeats in (0, -2):
-            with pytest.raises(BoundInputError, match="at least one repeat"):
+            with pytest.raises(BoundInputError, match="repeats must be >= 1"):
                 reweighted_convergence_check(self._scenario(), [100], repeats=repeats)
+
+    @pytest.mark.parametrize("repeats", [2.5, True, "3"])
+    def test_repeats_that_are_not_integers_are_rejected(self, repeats):
+        from jsda import reweighted_convergence_check
+        with pytest.raises(BoundInputError, match="repeats must be an integer"):
+            reweighted_convergence_check(self._scenario(), [100], repeats=repeats)
 
     def test_rate_scales_like_sqrt_n(self):
         from jsda import reweighted_convergence_check
@@ -559,6 +570,12 @@ def test_negative_or_non_finite_scalar_argument_raises(value):
         call(0.25)  # a valid value passes
         with pytest.raises(BoundInputError):
             call(value)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True, "3"])
+def test_suite_trials_must_be_an_integer_of_at_least_one(trials):
+    with pytest.raises(ValueError, match="trials must be"):
+        run_suite("pinsker", trials, seed=0)
 
 
 def test_suites_are_deterministic():

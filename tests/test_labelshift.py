@@ -38,6 +38,16 @@ class TestConfusionMatrix:
             oracle[p, l] += 1 / 500
         assert np.allclose(cm.c, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_pair_counts_over_n_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 400))
+        preds, labels = rng.integers(0, k, n), rng.integers(0, k, n)
+        counts = np.zeros((k, k))
+        for p, l in zip(preds, labels):
+            counts[p, l] += 1.0
+        assert np.array_equal(confusion_matrix(preds, labels, n_classes=k).c, counts / n)
+
     def test_empty_input(self):
         with pytest.raises(LabelShiftError, match="nonempty"):
             confusion_matrix([], [], n_classes=2)
@@ -95,6 +105,12 @@ class TestBBSLWeights:
         w = bbsl_weights(cm, np.array([0.2, 0.8]))  # off the column space
         assert w.method == "fallback"
         assert np.allclose(w.alpha, 1.0)
+
+    def test_all_weights_clipped_falls_back_to_ones(self):
+        cm = ConfusionMatrix(np.diag([0.5, 0.5]))
+        w = bbsl_weights(cm, np.array([-0.1, -0.2]))  # solves to negative weights only
+        assert w.method == "fallback"
+        assert np.array_equal(w.alpha, np.ones(2))
 
     def test_clipping_idempotent_when_solution_nonnegative(self):
         cm = ConfusionMatrix(np.diag([0.25, 0.75]))

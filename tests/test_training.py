@@ -323,12 +323,36 @@ class TestGradients:
         for (_, a), (_, b) in zip(m.param_items(), m2.param_items()):
             assert np.array_equal(a, b)
 
+    def test_train_step_leaves_its_inputs_unchanged(self):
+        m, src, tgt, st, w = small_fixture()
+        before = [arr.copy() for _, arr in m.param_items()]
+        mu, counts = st.mu.copy(), st.counts.copy()
+        m2, _, _ = train_step(m, src, tgt, st, w, 0.5, 0.5, lr=0.1)
+        for (name, arr), old in zip(m.param_items(), before):
+            assert np.array_equal(arr, old), name
+        assert np.array_equal(st.mu, mu) and np.array_equal(st.counts, counts)
+        assert not np.array_equal(m2.w1, m.w1)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_parameters_raise_with_attribution(self):
         m, src, tgt, st, w = small_fixture()
         m.w2[0, 0] = np.inf  # tanh would saturate an inf in the first layer
         with pytest.raises(TrainingError, match="non-finite"):
             train_step(m, src, tgt, st, w, 0.5, 0.5, lr=0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_gradient_names_its_parameter(self):
+        m = init_models(TrainConfig(hidden_width=6, feature_width=4, seed=1), n_classes=2)
+        m.w1[0] = 0.0  # a hidden unit that the huge inputs below cannot saturate
+        m.w2[:, 0] = 100.0
+        m.wd[:] = 10.0
+        rng = np.random.default_rng(0)
+        src = SampleBatch(np.full((8, 2), 1e308), rng.integers(0, 2, 8))
+        tgt = SampleBatch(rng.normal(size=(8, 2)), rng.integers(0, 2, 8))
+        # every loss term stays finite; only w1's gradient (huge inputs) overflows
+        with pytest.raises(TrainingError, match="non-finite gradient in w1"):
+            train_step(m, src, tgt, CentroidState.empty(2, 4), WeightVector(np.ones(2)),
+                       1.0, 0.5, lr=0.1)
 
     def test_single_step_decreases_source_term(self):
         m, src, tgt, st, w = small_fixture(seed=5)
@@ -416,20 +440,31 @@ class TestTrainingLoop:
          "6e6748c4e8db271551b5e42f041660d6c2ec0298da4b57e4c334d44f3b7ff6e9"),
         ("3 classes, batch 4",
          "95fc0e9ebed063ba1618bfbc0a369de24eddef319ddb2cc3d859fb0b945adb5e"),
+        ("feature shift, width 2",
+         "30a14968cf53dc49c4d27578272afb790ace8d41338e8940055b807ebcead0e6"),
+        ("n_source a multiple of batch_size",
+         "1fd4ec50e845d88dbe8c9967977208f825ce5c4516c67e4007999dacb4374067"),
     ])
     def test_trace_digest_pinned(self, case, digest):
         """sha256 over every TrainTrace field and the final parameters, pinned.
 
         Any change to the step's arithmetic, batch order or pseudo-label refresh
-        moves some bit of the trace; a rewrite of the step must keep all three.
+        moves some bit of the trace; a rewrite of the step must keep all of them.
         """
+        sc = make_scenario("conditional-shift", rotation_deg=40.0, cov_scale=1.2,
+                           source_label_marginal=(0.5, 0.5),
+                           target_label_marginal=(0.8, 0.2), seed=3)
         if case.startswith("criterion-8"):
-            sc = make_scenario("conditional-shift", rotation_deg=40.0, cov_scale=1.2,
-                               source_label_marginal=(0.5, 0.5),
-                               target_label_marginal=(0.8, 0.2), seed=3)
             cfg = TrainConfig(epochs=60, n_source=1500, n_target=1500,
                               cond_multiplier=12.0, learning_rate=0.03,
                               seed=int(case.rsplit(" ", 1)[1]))
+        elif case.startswith("feature shift"):
+            cfg = TrainConfig(epochs=8, n_source=400, n_target=300, feature_width=2,
+                              track_feature_shift=True, cond_multiplier=12.0,
+                              learning_rate=0.03, seed=2)
+        elif case.startswith("n_source"):  # the last batch is full; the target order wraps
+            cfg = TrainConfig(epochs=8, n_source=512, n_target=400, batch_size=64,
+                              cond_multiplier=12.0, learning_rate=0.03, seed=3)
         else:
             sc = make_scenario("label-shift", n_classes=3,
                                source_label_marginal=(0.4, 0.4, 0.2),
@@ -437,6 +472,46 @@ class TestTrainingLoop:
             cfg = TrainConfig(epochs=6, n_source=120, n_target=90, batch_size=4,
                               seed=1)
         assert trace_digest(run_training(sc, cfg)) == digest
+
+    @pytest.mark.parametrize("epochs, batch_size", [(1, 128), (3, 50)])
+    def test_public_train_step_loop_equals_run_training(self, epochs, batch_size):
+        """run_training's epochs rebuilt from the public one-pair train_step, with ==."""
+        from jsda.training import _STREAM_HOLDOUT, _STREAM_SHUFFLE, HOLDOUT_FRACTION
+        sc = make_scenario("conditional-shift", rotation_deg=40.0, cov_scale=1.2,
+                           source_label_marginal=(0.5, 0.5),
+                           target_label_marginal=(0.8, 0.2), seed=3)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, n_source=300, n_target=240,
+                          cond_multiplier=12.0, learning_rate=0.03, seed=4)
+        n_hold = max(2, int(HOLDOUT_FRACTION * cfg.n_source))
+        src = sample(sc, "source", cfg.n_source + n_hold, stream=(cfg.seed,))
+        tgt = sample(sc, "target", cfg.n_target, stream=(cfg.seed,))
+        perm = np.random.default_rng([cfg.seed, _STREAM_HOLDOUT]).permutation(len(src))
+        holdout = (src.xs[perm[:n_hold]], src.ys[perm[:n_hold]])
+        xs, ys = src.xs[perm[n_hold:]], src.ys[perm[n_hold:]]
+        m = init_models(cfg, n_classes=2)
+        st = CentroidState.empty(2, cfg.feature_width)
+        s_hat = np.bincount(ys, minlength=2) / ys.size
+        pseudo, t_p, w = pseudo_label_step(m, tgt.xs, holdout, 2)
+        losses = []
+        for epoch in range(epochs):
+            lam = lambda_schedule(epoch / max(1, epochs - 1))
+            rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
+            order_s = rng.permutation(ys.size)
+            order_t = np.take(rng.permutation(len(tgt)), np.arange(ys.size), mode="wrap")
+            class_weights, parts = s_hat + t_p, []
+            for lo in range(0, ys.size, batch_size):
+                s, t = order_s[lo:lo + batch_size], order_t[lo:lo + batch_size]
+                m, st, part = train_step(m, SampleBatch(xs[s], ys[s]),
+                                         SampleBatch(tgt.xs[t], pseudo[t]), st, w, lam,
+                                         cfg.cond_multiplier * lam, cfg.learning_rate,
+                                         class_weights)
+                parts.append(part["weighted_source"])
+            losses.append(float(np.mean(parts)))
+            pseudo, t_p, w = pseudo_label_step(m, tgt.xs, holdout, 2)
+        trace = run_training(sc, cfg)
+        assert trace.weighted_source_loss == losses
+        for (name, got), (_, want) in zip(trace.model.param_items(), m.param_items()):
+            assert got.tobytes() == want.tobytes(), name
 
     def test_lambda_schedule_shape(self):
         assert lambda_schedule(0.0) == pytest.approx(0.0, abs=1e-12)
