@@ -116,16 +116,6 @@ def _gap_term(tail: TailParams, js_nats: float) -> float:
     return (tail.sigma + 1.0) * math.sqrt(2.0 * js_nats) + 2.0 * tail.a * js_nats
 
 
-def _loss_tail(l: LossTable, tail: TailParams | None) -> TailParams:
-    """``tail`` (default: bounded at the loss range); a bounded g below that range raises."""
-    if tail is None:
-        return TailParams("bounded", g=l.range_g)
-    if tail.variant == "bounded" and tail.g + 1e-12 < l.range_g:
-        raise BoundInputError(
-            f"tail range g={tail.g} smaller than actual loss range {l.range_g}")
-    return tail
-
-
 def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
                       tail: TailParams | None = None) -> BoundReport:
     """Upper bound on the target risk from the joint divergence.
@@ -133,9 +123,14 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     lhs is the exact target risk; the bound is the exact source risk plus
     the tail-dependent gap: (G/sqrt(2))*sqrt(JS) for bounded losses,
     sigma*sqrt(2 JS) for sub-Gaussian ones, and
-    (sigma+1)*sqrt(2 JS) + 2a*JS for the sub-Gamma envelope.
+    (sigma+1)*sqrt(2 JS) + 2a*JS for the sub-Gamma envelope. ``tail``
+    defaults to bounded at the loss range; a bounded g below that range raises.
     """
-    tail = _loss_tail(l, tail)
+    if tail is None:
+        tail = TailParams("bounded", g=l.range_g)
+    elif tail.variant == "bounded" and tail.g + 1e-12 < l.range_g:
+        raise BoundInputError(
+            f"tail range g={tail.g} smaller than actual loss range {l.range_g}")
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)
     js = _joint_js(s, t)
@@ -219,8 +214,7 @@ def _conditional_shift(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
 
 
 def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
-                           axis: MarginalAxis = "x",
-                           tail: TailParams | None = None) -> BoundReport:
+                           axis: MarginalAxis = "x") -> BoundReport:
     """Marginal-plus-conditional decomposition of the joint upper bound.
 
     axis="x" splits into feature-marginal shift and label-conditional shift;
@@ -228,11 +222,12 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     shift. ``extras`` holds the three JS terms (joint, marginal,
     conditional); the chain rule marginal + conditional >= joint JS that the
     decomposition rests on is checked by the decomposition suites' own
-    ``decomposition_chain_{axis}`` row. Caution: the chain rule holds, but
-    the bounded gap keeps joint-upper's G/sqrt(2) constant, so the bound
-    fails wherever that constant is too tight.
+    ``decomposition_chain_{axis}`` row. Each term's gap is the bounded-loss
+    one at the loss range G. Caution: the chain rule holds, but the gap
+    keeps joint-upper's G/sqrt(2) constant, so the bound fails wherever that
+    constant is too tight.
     """
-    tail = _loss_tail(l, tail)
+    tail = TailParams("bounded", g=l.range_g)
     cond_js, marg_js = _conditional_shift(s, t, axis), _marginal_js(s, t, axis)
     r_t = expected_risk(t, l)
     r_s = expected_risk(s, l)

@@ -54,6 +54,11 @@ def write_report(rows: list[dict], fmt: str, path: str | None) -> None:
                            for row in rows], indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    _write(text, path)
+
+
+def _write(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -107,37 +112,27 @@ def _cmd_label_shift(args) -> int:
     return 0
 
 
-def _cmd_scenario(args) -> int:
-    if args.action == "make":
-        if not args.out:
-            raise ValueError("scenario make requires --out <file>")
-        params = _json_object(json.loads(args.params) if args.params else {},
-                              list(inspect.signature(make_scenario).parameters)[1:],
-                              "--params")  # kind is the first parameter; it comes from --kind
-        params.setdefault("seed", args.seed)
-        sc = make_scenario(args.kind, **params)
-        sc.save(args.out)
-        print(f"# wrote scenario {args.kind} -> {args.out}")
-        return 0
-    if not args.scenario:
-        raise ValueError(f"scenario {args.action} requires --scenario <file>")
-    sc = ShiftScenario.load(args.scenario)
-    if args.action == "sample":
-        batch = sample(sc, args.domain, args.n, stream=(args.seed,))
-        rows = [{"x0": float(x[0]), "x1": float(x[1]), "y": int(y)}
-                for x, y in zip(batch.xs, batch.ys)]
-        write_report(rows, args.format, args.out)
-        return 0
-    if args.action == "discretize":
-        joint = discretize(sc, args.domain, grid=args.grid)
-        text = joint.to_json() + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    raise ValueError(f"unknown scenario action {args.action!r}")
+def _cmd_scenario_make(args) -> int:
+    params = _json_object(json.loads(args.params) if args.params else {},
+                          list(inspect.signature(make_scenario).parameters)[1:],
+                          "--params")  # kind is the first parameter; it comes from --kind
+    make_scenario(args.kind, **{"seed": args.seed, **params}).save(args.out)
+    print(f"# wrote scenario {args.kind} -> {args.out}")
+    return 0
+
+
+def _cmd_scenario_sample(args) -> int:
+    batch = sample(ShiftScenario.load(args.scenario), args.domain, args.n, stream=(args.seed,))
+    rows = [{"x0": float(x[0]), "x1": float(x[1]), "y": int(y)}
+            for x, y in zip(batch.xs, batch.ys)]
+    write_report(rows, args.format, args.out)
+    return 0
+
+
+def _cmd_scenario_discretize(args) -> int:
+    joint = discretize(ShiftScenario.load(args.scenario), args.domain, grid=args.grid)
+    _write(joint.to_json() + "\n", args.out)
+    return 0
 
 
 def _load_config(path: str | None, seed: int) -> TrainConfig:
@@ -173,6 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "scenarios, label-shift correction, adaptation training.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(subs, name, func, help):
+        p = subs.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     def output(p):
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -181,55 +181,57 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=seed, default=0)
         output(p)
 
-    p = sub.add_parser("counterexamples",
-                       help="run the pinned divergence-ordering regressions")
+    p = command(sub, "counterexamples", _cmd_counterexamples,
+                "run the pinned divergence-ordering regressions")
     output(p)
     p.add_argument("--xi", type=float, default=1.0 / 12.0)
     p.add_argument("--base", choices=["e", "2"], default=None)
-    p.set_defaults(func=_cmd_counterexamples)
 
-    p = sub.add_parser("verify-bounds", help="run randomized bound suites")
+    p = command(sub, "verify-bounds", _cmd_verify_bounds, "run randomized bound suites")
     common(p)
-    p.add_argument("--suite", default="all",
-                   choices=("all",) + suites.SUITE_NAMES)
+    p.add_argument("--suite", default="all", choices=("all",) + suites.SUITE_NAMES)
     p.add_argument("--trials", type=int, default=1000)
-    p.set_defaults(func=_cmd_verify_bounds)
 
-    p = sub.add_parser("label-shift", help="weight recovery on a scenario file")
+    p = command(sub, "label-shift", _cmd_label_shift, "weight recovery on a scenario file")
     common(p)
     p.add_argument("--scenario", required=True)
     p.add_argument("--n", type=int, default=10000)
-    p.set_defaults(func=_cmd_label_shift)
 
-    p = sub.add_parser("scenario", help="make, sample, or discretize scenarios")
-    common(p)
-    p.add_argument("action", choices=["make", "sample", "discretize"])
+    actions = sub.add_parser("scenario", help="make, sample, or discretize scenarios"
+                             ).add_subparsers(dest="action", required=True)
+    p = command(actions, "make", _cmd_scenario_make, "write a scenario file")
     p.add_argument("--kind", default="label-shift")
     p.add_argument("--params", default=None, help="JSON dict of generator params")
-    p.add_argument("--scenario", default=None)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--out", required=True)
+
+    p = command(actions, "sample", _cmd_scenario_sample, "draw labelled points from one domain")
+    common(p)
+    p.add_argument("--scenario", required=True)
     p.add_argument("--domain", choices=["source", "target"], default="source")
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--grid", type=int, default=32)
-    p.set_defaults(func=_cmd_scenario)
 
-    p = sub.add_parser("train", help="run the three-principle trainer")
+    p = command(actions, "discretize", _cmd_scenario_discretize, "one domain's grid joint, as JSON")
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--domain", choices=["source", "target"], default="source")
+    p.add_argument("--grid", type=int, default=32)
+    p.add_argument("--out", default=None)
+
+    p = command(sub, "train", _cmd_train, "run the three-principle trainer")
     common(p)
     p.add_argument("--scenario", required=True)
     p.add_argument("--config", default=None)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("ablate", help="principle-subset ablation table")
+    p = command(sub, "ablate", _cmd_ablate, "principle-subset ablation table")
     common(p)
     p.add_argument("--scenario", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seeds", type=int, default=5)
-    p.set_defaults(func=_cmd_ablate)
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:

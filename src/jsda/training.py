@@ -13,13 +13,14 @@ objective combines
       (gradient reversal realized as an explicit sign choice at update time).
 
 One forward and one backward pass per step give the gradient of the
-weighted objective; the gradient audit checks each term alone by switching
-the other terms' weights off. Each epoch is staged once: its rows are
-gathered batch by batch, and all that depends on labels alone (range check,
-term-I picks, term-II bincount index, masks and gradient steps) is computed
-for every batch at once. A step sums each class's features with one weighted
-bincount and scatters the term-II gradient back with one row gather; the
-parameters are views of one flat vector, which each step updates in place.
+weighted objective; the gradient audit checks each term alone by setting the
+other terms' weights to zero (term I's weights are the class weights). Each
+epoch is staged once: its rows are gathered batch by batch, and all that
+depends on labels alone (range check, term-I picks, term-II bincount index,
+masks and gradient steps) is computed for every batch at once. A step sums
+each class's features with one weighted bincount and scatters the term-II
+gradient back with one row gather; the parameters are views of one flat
+vector, which each step updates in place.
 
 Training alternates epochs of gradient steps with a pseudo-label refresh
 that re-estimates target labels, their distribution, and the black-box shift
@@ -221,8 +222,7 @@ def _flat(m: ModelParams, flat: np.ndarray | None = None) -> tuple[np.ndarray, M
 
 def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
            width: int, alpha: np.ndarray, counts: np.ndarray, lam1: float,
-           class_weights: np.ndarray | None, lam_source: float = 1.0,
-           ) -> tuple[list[tuple], np.ndarray]:
+           class_weights: np.ndarray | None) -> tuple[list[tuple], np.ndarray]:
     """Each batch pair's step inputs that depend only on labels, and the final counts.
 
     ``xs`` and ``lab`` hold batch b's ``sizes[b, 0]`` source rows, then its
@@ -248,7 +248,7 @@ def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
     first = np.cumsum(ns) - ns  # each batch's first source row
     pick = (np.arange(ys.size) - np.repeat(first, ns)) * n_classes + ys  # [row, y] of the logits
     alpha = alpha[ys]
-    coef = (lam_source * alpha / np.repeat(ns, ns))[:, None]
+    coef = (alpha / np.repeat(ns, ns))[:, None]
     scatter = np.take(np.arange(k * width).reshape(k, width), lab, axis=0).ravel()
     rows, src = np.cumsum(np.append(0, ns + nt)).tolist(), [*first.tolist(), ys.size]
     by_row = [[arr[a * n:b * n] for a, b in zip(rows, rows[1:])]
@@ -261,7 +261,7 @@ def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
 
 
 def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
-          lam0: float, lam1: float, lam_source: float) -> tuple[tuple, np.ndarray]:
+          lam0: float, lam1: float) -> tuple[tuple, np.ndarray]:
     """One staged batch pair's loss breakdown, in ``_TERMS`` order, and its
     committed centroids; the gradient goes into the arrays of ``g``."""
     xs, lab, scatter, pick, alpha, coef_s, ns, nt, present, seen, n_rows, step, active = batch
@@ -307,7 +307,7 @@ def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
         np.add.reduce(d, axis=0, out=grad_b)
     np.matmul(coef, z, out=g.wd)
     np.add.reduce(coef, axis=0, keepdims=True, out=g.bd)
-    return (t1, t2, radv, (radv + LOG4) / 2.0, lam_source * t1 + lam1 * t2 + lam0 * radv), mu
+    return (t1, t2, radv, (radv + LOG4) / 2.0, t1 + lam1 * t2 + lam0 * radv), mu
 
 
 def _descend(theta: np.ndarray, g: np.ndarray, grads: ModelParams, lr: float,
@@ -329,14 +329,16 @@ def _descend(theta: np.ndarray, g: np.ndarray, grads: ModelParams, lr: float,
 def loss_and_gradients(
     m: ModelParams, src: SampleBatch, tgt: SampleBatch, st: CentroidState,
     w: WeightVector, lam0: float, lam1: float,
-    class_weights: np.ndarray | None = None, lam_source: float = 1.0,
+    class_weights: np.ndarray | None = None,
 ) -> tuple[dict[str, float], dict[str, np.ndarray], CentroidState]:
-    """Loss breakdown, gradient of lam_source*I + lam1*II + lam0*III, centroids.
+    """Loss breakdown, gradient of I + lam1*II + lam0*III, centroids.
 
     The breakdown holds each unweighted term and their weighted ``total``.
     Each term adds its weighted feature gradient into one array, which one
     backward pass carries to every parameter; backprop is linear in it, so
-    one-hot weights give the gradient of a single term.
+    zero weights on the other terms give the gradient of one term alone.
+    Term I is linear in the class weights ``w.alpha``, so zero class weights
+    switch it off.
 
     Term II is evaluated at the would-be-updated centroids (momentum blend of
     the stored value and the batch mean), so its gradient flows through the
@@ -346,9 +348,9 @@ def loss_and_gradients(
     """
     xs, lab = np.concatenate((src.xs, tgt.xs)), np.concatenate((src.ys, tgt.ys))
     (batch,), counts = _stage(xs, lab, np.array([[len(src), len(tgt)]]), m.n_classes,
-                              m.feature_width, w.alpha, st.counts, lam1, class_weights, lam_source)
+                              m.feature_width, w.alpha, st.counts, lam1, class_weights)
     g, grads = _flat(m, np.empty(sum(arr.size for _, arr in m.param_items())))
-    parts, mu = _step(m, grads, batch, st.mu, lam0, lam1, lam_source)
+    parts, mu = _step(m, grads, batch, st.mu, lam0, lam1)
     return dict(zip(_TERMS, parts)), dict(grads.param_items()), CentroidState(mu, counts)
 
 
@@ -508,7 +510,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
             cfg.feature_width, w.alpha, st.counts, lam1, s_hat + t_p)
         breakdowns = []
         for batch in batches:
-            parts, st.mu = _step(m, grads, batch, st.mu, lam0, lam1, 1.0)
+            parts, st.mu = _step(m, grads, batch, st.mu, lam0, lam1)
             _descend(theta, g, grads, cfg.learning_rate, parts)
             breakdowns.append(parts)
         mean = dict(zip(_TERMS, (float(np.mean(v)) for v in zip(*breakdowns))))
@@ -544,15 +546,17 @@ def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
                ) -> dict[str, float]:
     """Central-difference audit of every analytic gradient.
 
-    Each term's analytic gradient is ``loss_and_gradients`` with that term's
-    weight alone switched on, and the composite's has every weight on; one
-    central-difference sweep records the three term values and their
-    weighted total. Returns the max relative error per loss term and for the
-    composite, over every parameter of every layer.
+    Each term's analytic gradient is ``loss_and_gradients`` with the other
+    terms' weights set to zero: lam0 and lam1 for terms III and II, the class
+    weights (a zero ``WeightVector``) for term I. The composite's has every
+    weight on; one central-difference sweep records the three term values
+    and their weighted total. Returns the max relative error per loss term
+    and for the composite, over every parameter of every layer.
     """
-    # breakdown key -> (lam0, lam1, lam_source) of its analytic gradient
-    weights = {"weighted_source": (0.0, 0.0, 1.0), "conditional": (0.0, 1.0, 0.0),
-               "adversarial": (1.0, 0.0, 0.0), "total": (lam0, lam1, 1.0)}
+    off = WeightVector(np.zeros_like(w.alpha))
+    # breakdown key -> (lam0, lam1, class weights) of its analytic gradient
+    weights = {"weighted_source": (0.0, 0.0, w), "conditional": (0.0, 1.0, off),
+               "adversarial": (1.0, 0.0, off), "total": (lam0, lam1, w)}
     numeric = {key: {name: np.zeros_like(arr) for name, arr in m.param_items()}
                for key in weights}
     step = GRAD_CHECK_STEP
@@ -580,9 +584,8 @@ def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
         return worst
 
     result = {}
-    for key, (l0, l1, ls) in weights.items():
-        _, analytic, _ = loss_and_gradients(m, src, tgt, st, w, l0, l1,
-                                            class_weights, lam_source=ls)
+    for key, (l0, l1, wk) in weights.items():
+        _, analytic, _ = loss_and_gradients(m, src, tgt, st, wk, l0, l1, class_weights)
         label = "composite" if key == "total" else key
         result[label] = max_rel(analytic, numeric[key])
     return result

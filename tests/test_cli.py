@@ -10,7 +10,7 @@ import pytest
 
 from jsda import cases, cli
 from jsda.cli import build_parser, dispatch, write_report
-from jsda.scenarios import make_scenario
+from jsda.scenarios import discretize, make_scenario, sample
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,16 +42,21 @@ class TestDispatch:
         assert "error:" in capsys.readouterr().err
 
     def test_scenario_actions_require_their_files(self, capsys):
-        assert dispatch(["scenario", "sample"]) == 1
-        assert dispatch(["scenario", "make", "--kind", "conditional-shift"]) == 1
-        capsys.readouterr()
+        for argv in (["scenario", "sample"], ["scenario", "discretize"],
+                     ["scenario", "make", "--kind", "conditional-shift"]):
+            with pytest.raises(SystemExit) as exc:
+                dispatch(argv)
+            assert exc.value.code == 2
+            assert "the following arguments are required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["verify-bounds", "--suite", "pinsker", "--trials", "2"], ["scenario", "make"],
-        ["label-shift"], ["train"], ["ablate"]], ids=lambda c: c[0])
+        ["scenario", "sample", "--scenario"], ["label-shift", "--scenario"],
+        ["train", "--scenario"], ["ablate", "--scenario"]],
+        ids=["verify-bounds", "scenario", "scenario-sample", "label-shift", "train", "ablate"])
     def test_negative_seed_is_usage_error(self, scenario_file, tmp_path, command, capsys):
-        if command[0] in ("label-shift", "train", "ablate"):
-            command = [*command, "--scenario", str(scenario_file)]
+        if command[-1] == "--scenario":
+            command = [*command, str(scenario_file)]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             dispatch([*command, "--seed", "-1", "--out", str(out)])
@@ -128,7 +133,55 @@ class TestVerifyBounds:
             "e4249f1b519f1f10c3afc8a66ee02efc97bda6e286616c2a4505c17c1e5c00c7")
 
 
+# (action, flag and value) pairs that the action's handler does not read
+UNREAD_SCENARIO_FLAGS = [
+    ("make", ["--format", "csv"]), ("make", ["--scenario", "sc.json"]),
+    ("make", ["--domain", "target"]), ("make", ["--n", "5"]), ("make", ["--grid", "8"]),
+    ("sample", ["--kind", "open-set"]), ("sample", ["--params", "{}"]),
+    ("sample", ["--grid", "8"]),
+    ("discretize", ["--seed", "1"]), ("discretize", ["--format", "csv"]),
+    ("discretize", ["--kind", "open-set"]), ("discretize", ["--params", "{}"]),
+    ("discretize", ["--n", "5"])]
+
+
 class TestScenarioCommands:
+    @pytest.mark.parametrize("action, flag", UNREAD_SCENARIO_FLAGS,
+                             ids=[f"{a}{f[0]}" for a, f in UNREAD_SCENARIO_FLAGS])
+    def test_flag_the_action_does_not_read_is_usage_error(self, scenario_file, tmp_path,
+                                                          action, flag, capsys):
+        source = [] if action == "make" else ["--scenario", str(scenario_file)]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["scenario", action, *source, *flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_actions_write_the_library_bytes(self, tmp_path, capsys):
+        params = {"source_label_marginal": [0.5, 0.5], "target_label_marginal": [0.8, 0.2]}
+        path, ref = tmp_path / "sc.json", tmp_path / "ref.json"
+        assert dispatch(["scenario", "make", "--params", json.dumps(params), "--seed", "4",
+                         "--out", str(path)]) == 0
+        sc = make_scenario("label-shift", seed=4, **params)
+        sc.save(ref)
+        assert path.read_bytes() == ref.read_bytes()
+
+        rows = tmp_path / "rows.csv"
+        assert dispatch(["scenario", "sample", "--scenario", str(path), "--domain", "target",
+                         "--n", "7", "--seed", "3", "--out", str(rows)]) == 0
+        batch = sample(sc, "target", 7, stream=(3,))
+        assert rows.read_text() == "x0,x1,y\n" + "".join(
+            f"{x[0]:.6g},{x[1]:.6g},{y}\n" for x, y in zip(batch.xs, batch.ys))
+
+        joint = tmp_path / "joint.json"
+        assert dispatch(["scenario", "discretize", "--scenario", str(path), "--domain",
+                         "target", "--grid", "8", "--out", str(joint)]) == 0
+        capsys.readouterr()
+        assert dispatch(["scenario", "discretize", "--scenario", str(path), "--domain",
+                         "target", "--grid", "8"]) == 0
+        expected = discretize(sc, "target", grid=8).to_json() + "\n"
+        assert joint.read_text() == capsys.readouterr().out == expected
+
     def test_make_sample_discretize(self, scenario_file, tmp_path, capsys):
         assert dispatch(["scenario", "sample", "--scenario", str(scenario_file),
                          "--domain", "target", "--n", "5"]) == 0

@@ -1,9 +1,15 @@
-"""Every module of the package uses each name it imports (``__init__`` re-exports)."""
+"""Every module of the package uses each name it imports (``__init__`` re-exports),
+and every command-line option is read by the handler its subcommand dispatches to."""
 
+import argparse
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
+
+from jsda.cli import build_parser
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jsda"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -31,3 +37,33 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_options(parser: argparse.ArgumentParser) -> list[str]:
+    """'prog --flag' for each option of ``parser`` and of its subcommands that the
+    handler it dispatches to (its ``func`` default) does not read as ``args.<dest>``;
+    a parser with subcommands has no handler of its own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    func = None if subs else parser.get_default("func")
+    source = inspect.getsource(func) if func else ""
+    unread = [f"{parser.prog} {a.option_strings[-1]}" for a in parser._actions
+              if a.option_strings and not isinstance(a, argparse._HelpAction)
+              and not re.search(rf"\bargs\.{a.dest}\b", source)]
+    return unread + [u for a in subs for p in a.choices.values() for u in unread_options(p)]
+
+
+def test_scanner_finds_an_unread_option():
+    def handler(args):
+        return args.kept, args.kept_too
+
+    parser = argparse.ArgumentParser(prog="toy")
+    parser.add_argument("--top")
+    p = parser.add_subparsers().add_parser("run")
+    for flag in ("--kept", "--kept-too", "--kept_t", "--dropped"):
+        p.add_argument(flag)
+    p.set_defaults(func=handler)
+    assert unread_options(parser) == ["toy --top", "toy run --kept_t", "toy run --dropped"]
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    assert unread_options(build_parser()) == []

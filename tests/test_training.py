@@ -255,9 +255,9 @@ class TestClassBatchedStepOracle:
         w = WeightVector(rng.uniform(0.2, 2.0, n_classes))
         class_weights = rng.uniform(0.1, 1.5, n_classes)
         lam1 = float(rng.uniform(0.1, 3.0))
-        # terms I and III off, so the gradient is term II's alone
+        # terms I (zero class weights) and III off, so the gradient is term II's alone
         parts, grads, new_st = loss_and_gradients(
-            m, src, tgt, st, w, 0.0, lam1, class_weights, lam_source=0.0)
+            m, src, tgt, st, WeightVector(np.zeros(n_classes)), 0.0, lam1, class_weights)
 
         z, a = features(m, np.concatenate((src.xs, tgt.xs)))
         t2, ref_st, dz = per_class_term_ii(z[:ns], z[ns:], src.ys, tgt.ys, st,
@@ -297,7 +297,8 @@ class TestGradients:
     def test_discriminator_ascends_extractor_descends(self):
         m, src, tgt, st, w = small_fixture()
         lam0, lam1, lr = 0.8, 0.6, 0.01
-        _, g_adv, _ = loss_and_gradients(m, src, tgt, st, w, 1.0, 0.0, lam_source=0.0)
+        off = WeightVector(np.zeros(len(w.alpha)))  # term I off
+        _, g_adv, _ = loss_and_gradients(m, src, tgt, st, off, 1.0, 0.0)
         _, grads, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1)
         m2, _, _ = train_step(m, src, tgt, st, w, lam0, lam1, lr)
         # d moves along +grad of the adversarial term
@@ -310,9 +311,10 @@ class TestGradients:
         m, src, tgt, st, w = small_fixture()
         lam0, lam1 = 0.7, 0.9
         _, fused, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1)
-        _, g1, _ = loss_and_gradients(m, src, tgt, st, w, 0.0, 0.0, lam_source=1.0)
-        _, g2, _ = loss_and_gradients(m, src, tgt, st, w, 0.0, 1.0, lam_source=0.0)
-        _, g3, _ = loss_and_gradients(m, src, tgt, st, w, 1.0, 0.0, lam_source=0.0)
+        off = WeightVector(np.zeros(len(w.alpha)))  # term I off
+        _, g1, _ = loss_and_gradients(m, src, tgt, st, w, 0.0, 0.0)
+        _, g2, _ = loss_and_gradients(m, src, tgt, st, off, 0.0, 1.0)
+        _, g3, _ = loss_and_gradients(m, src, tgt, st, off, 1.0, 0.0)
         for name, _ in m.param_items():
             combined = g1[name] + lam1 * g2[name] + lam0 * g3[name]
             assert np.max(np.abs(fused[name] - combined)) <= 1e-12, name
