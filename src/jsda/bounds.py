@@ -6,9 +6,9 @@ decided at tolerance 1e-9. All bound arithmetic is in nats: the bounded-loss
 upper bound comes from a sub-Gaussian moment-generating-function argument
 that only closes under natural logarithms.
 
-Every scalar argument (a risk, a divergence, a tail constant) must be finite
-and >= 0, or the call raises ``BoundInputError``; the overlap fraction alpha
-must also lie in (0, 1].
+Every scalar argument (a risk, a divergence, a tail constant) must be a real
+number (not a bool), finite and >= 0, or the call raises ``BoundInputError``;
+the overlap fraction alpha must also lie in (0, 1].
 
 The four verifiers built on the marginal-plus-conditional split take their
 conditional families from one core, ``_conditional_terms``, which holds the
@@ -33,6 +33,7 @@ bound, which keeps the joint upper bound's too-tight G/sqrt(2) constant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Mapping, Sequence
@@ -57,7 +58,8 @@ class BoundInputError(ValueError):
 
 
 def _check_nonnegative(value: float, what: str) -> None:
-    if not 0.0 <= value < math.inf:  # NaN fails too
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 <= value < math.inf):  # NaN fails too
         raise BoundInputError(f"{what} must be finite and >= 0")
 
 

@@ -10,6 +10,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -161,6 +162,7 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves a parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jsda",

@@ -65,13 +65,7 @@ def _row_fsums(terms: np.ndarray, live: np.ndarray) -> list[float]:
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
-    """``a`` as a read-only C-contiguous ``dtype`` array, uncopied if it is one already
-    over memory nothing can write (a read-only view of a writable array is copied)."""
-    owner = a
-    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-        owner = owner.base
-    if owner is None and a.dtype == dtype and a.flags.c_contiguous:
-        return a
+    """A read-only ``dtype`` copy of ``a`` in its memory order, which no caller can write."""
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out

@@ -12,15 +12,15 @@ objective combines
       which the discriminator ascends while the feature extractor descends
       (gradient reversal realized as an explicit sign choice at update time).
 
-One forward and one backward pass per step give the gradient of the
-weighted objective; the gradient audit checks each term alone by setting the
-other terms' weights to zero (term I's weights are the class weights). Each
-epoch is staged once: its rows are gathered batch by batch, and all that
-depends on labels alone (range check, term-I picks, term-II bincount index,
-masks and gradient steps) is computed for every batch at once. A step sums
-each class's features with one weighted bincount and scatters the term-II
-gradient back with one row gather; the parameters are views of one flat
-vector, which each step updates in place.
+One forward and one backward pass per step give the gradient of the weighted
+objective; the gradient audit perturbs a flat copy of the parameters and
+checks each term alone by zeroing the other terms' weights (term I's weights
+are the class weights). Each epoch is staged once: its rows are gathered
+batch by batch, and all that depends on labels alone (range check, term-I
+picks, term-II bincount index, masks and gradient steps) is computed for
+every batch at once. A step sums each class's features with one weighted
+bincount and scatters the term-II gradient back with one row gather; the
+parameters are views of one flat vector, which each step updates in place.
 
 Training alternates epochs of gradient steps with a pseudo-label refresh
 that re-estimates target labels, their distribution, and the black-box shift
@@ -222,12 +222,12 @@ def _flat(m: ModelParams, flat: np.ndarray | None = None) -> tuple[np.ndarray, M
 
 def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
            width: int, alpha: np.ndarray, counts: np.ndarray, lam1: float,
-           class_weights: np.ndarray | None) -> tuple[list[tuple], np.ndarray]:
+           class_weights: np.ndarray) -> tuple[list[tuple], np.ndarray]:
     """Each batch pair's step inputs that depend only on labels, and the final counts.
 
     ``xs`` and ``lab`` hold batch b's ``sizes[b, 0]`` source rows, then its
     ``sizes[b, 1]`` target rows, batch by batch; ``counts`` are the centroid counts
-    before the first batch. ``class_weights`` None: a lone pair's label frequencies."""
+    before the first batch."""
     if lab.size and (np.minimum.reduce(lab) < 0 or np.maximum.reduce(lab) >= n_classes):
         raise TrainingError(f"labels must lie in [0, {n_classes})")
     k, ns, nt, per_part = 2 * n_classes, sizes[:, 0], sizes[:, 1], sizes.ravel()
@@ -239,8 +239,6 @@ def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
     gain = np.where(present, np.where(seen, 1.0 - CENTROID_MOMENTUM, 1.0), 0.0)  # d mu / d mean
     known = (present | seen)[..., 0]
     active = known[:, :n_classes] & known[:, n_classes:]
-    if class_weights is None:
-        class_weights = n_batch[0, :n_classes, 0] / ns[0] + n_batch[0, n_classes:, 0] / nt[0]
     scale = 2.0 * lam1 * np.where(active, class_weights, 0.0)
     n_rows = np.maximum(n_batch, 1)
     step = np.concatenate((scale, -scale), axis=1)[..., None] * gain / n_rows
@@ -330,10 +328,12 @@ def loss_and_gradients(
     m: ModelParams, src: SampleBatch, tgt: SampleBatch, st: CentroidState,
     w: WeightVector, lam0: float, lam1: float,
     class_weights: np.ndarray | None = None,
-) -> tuple[dict[str, float], dict[str, np.ndarray], CentroidState]:
+) -> tuple[dict[str, float], ModelParams, CentroidState]:
     """Loss breakdown, gradient of I + lam1*II + lam0*III, centroids.
 
-    The breakdown holds each unweighted term and their weighted ``total``.
+    The breakdown holds each unweighted term and their weighted ``total``; the
+    gradient is a ``ModelParams`` over one flat vector, like the trainer's
+    parameters. ``class_weights`` None: each domain's label frequencies in the pair.
     Each term adds its weighted feature gradient into one array, which one
     backward pass carries to every parameter; backprop is linear in it, so
     zero weights on the other terms give the gradient of one term alone.
@@ -346,12 +346,15 @@ def loss_and_gradients(
     domain's stored centroid, and a class with neither is skipped. All classes
     of both domains go at once, in the row layout of :class:`CentroidState`.
     """
+    if class_weights is None:  # a label out of range counts nowhere; _stage rejects it
+        class_weights = sum(np.count_nonzero(b.ys[:, None] == np.arange(m.n_classes), axis=0)
+                            / len(b) for b in (src, tgt))
     xs, lab = np.concatenate((src.xs, tgt.xs)), np.concatenate((src.ys, tgt.ys))
     (batch,), counts = _stage(xs, lab, np.array([[len(src), len(tgt)]]), m.n_classes,
                               m.feature_width, w.alpha, st.counts, lam1, class_weights)
     g, grads = _flat(m, np.empty(sum(arr.size for _, arr in m.param_items())))
     parts, mu = _step(m, grads, batch, st.mu, lam0, lam1)
-    return dict(zip(_TERMS, parts)), dict(grads.param_items()), CentroidState(mu, counts)
+    return dict(zip(_TERMS, parts)), grads, CentroidState(mu, counts)
 
 
 def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
@@ -365,8 +368,8 @@ def train_step(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
     same objective (the reversal). ``m`` is left as it was.
     """
     breakdown, grads, new_st = loss_and_gradients(m, src, tgt, st, w, lam0, lam1, class_weights)
-    (theta, out), (g, flat_grads) = _flat(m), _flat(ModelParams(**grads))
-    _descend(theta, g, flat_grads, lr, breakdown.values())
+    (theta, out), (g, _) = _flat(m), _flat(grads)
+    _descend(theta, g, grads, lr, breakdown.values())
     return out, new_st, breakdown
 
 
@@ -549,45 +552,32 @@ def grad_check(m: ModelParams, src: SampleBatch, tgt: SampleBatch,
     Each term's analytic gradient is ``loss_and_gradients`` with the other
     terms' weights set to zero: lam0 and lam1 for terms III and II, the class
     weights (a zero ``WeightVector``) for term I. The composite's has every
-    weight on; one central-difference sweep records the three term values
-    and their weighted total. Returns the max relative error per loss term
-    and for the composite, over every parameter of every layer.
+    weight on; one central-difference sweep over a flat copy of the
+    parameters records the three term values and their weighted total, so
+    ``m`` is only read, whatever its arrays' memory order. Returns the max
+    relative error per loss term and for the composite, over every parameter.
     """
     off = WeightVector(np.zeros_like(w.alpha))
     # breakdown key -> (lam0, lam1, class weights) of its analytic gradient
     weights = {"weighted_source": (0.0, 0.0, w), "conditional": (0.0, 1.0, off),
                "adversarial": (1.0, 0.0, off), "total": (lam0, lam1, w)}
-    numeric = {key: {name: np.zeros_like(arr) for name, arr in m.param_items()}
-               for key in weights}
+    theta, mv = _flat(m)
+    numeric = np.zeros((len(weights), theta.size))
     step = GRAD_CHECK_STEP
-    for name, arr in m.param_items():
-        flat_p = arr.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            hi, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1,
-                                          class_weights)
-            flat_p[i] = orig - step
-            lo, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1,
-                                          class_weights)
-            flat_p[i] = orig
-            for key in weights:
-                numeric[key][name].flat[i] = (hi[key] - lo[key]) / (2.0 * step)
-
-    def max_rel(analytic: dict[str, np.ndarray],
-                numeric: dict[str, np.ndarray]) -> float:
-        worst = 0.0
-        for name in analytic:
-            a, b = analytic[name], numeric[name]
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-            worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-        return worst
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        hi, _, _ = loss_and_gradients(mv, src, tgt, st, w, lam0, lam1, class_weights)
+        theta[i] = orig - step
+        lo, _, _ = loss_and_gradients(mv, src, tgt, st, w, lam0, lam1, class_weights)
+        theta[i] = orig
+        numeric[:, i] = [(hi[key] - lo[key]) / (2.0 * step) for key in weights]
 
     result = {}
-    for key, (l0, l1, wk) in weights.items():
-        _, analytic, _ = loss_and_gradients(m, src, tgt, st, wk, l0, l1, class_weights)
-        label = "composite" if key == "total" else key
-        result[label] = max_rel(analytic, numeric[key])
+    for (key, (l0, l1, wk)), b in zip(weights.items(), numeric):
+        a, _ = _flat(loss_and_gradients(mv, src, tgt, st, wk, l0, l1, class_weights)[1])
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
+        result["composite" if key == "total" else key] = float(np.max(np.abs(a - b) / denom))
     return result
 
 

@@ -72,7 +72,7 @@ class TestReportInvariants:
         with pytest.raises(BoundInputError):
             TailParams("nonsense")  # type: ignore[arg-type]
         for name in ("g", "sigma", "a"):
-            for bad in (math.nan, -0.1, math.inf, -math.inf):
+            for bad in (math.nan, -0.1, math.inf, -math.inf, True, "1.0"):
                 with pytest.raises(BoundInputError, match=f"{name} must be finite and >= 0"):
                     TailParams(**{name: bad})
 
@@ -152,10 +152,10 @@ class TestZeroOneBand:
         r = risk_band_from_values(0.2, 2e-4)
         assert r.bound_lo == pytest.approx(0.186, abs=5e-4)
         assert r.bound_hi == pytest.approx(0.21, abs=5e-4)
-        for js in (-1e-3, math.nan, math.inf):
+        for js in (-1e-3, math.nan, math.inf, True, "0.1"):
             with pytest.raises(BoundInputError, match="JS divergence must be finite and >= 0"):
                 risk_band_from_values(0.2, js)
-        for r_s in (math.nan, -0.1, math.inf):
+        for r_s in (math.nan, -0.1, math.inf, True, "0.2"):
             with pytest.raises(BoundInputError, match="source risk must be finite and >= 0"):
                 risk_band_from_values(r_s, 0.1)
 
@@ -344,6 +344,19 @@ class TestOpenSet:
                 open_set_band(0.3, alpha=0.5, delta=0.0, r_t=bad)
             with pytest.raises(BoundInputError, match="delta must be finite and >= 0"):
                 open_set_band(0.3, alpha=0.5, delta=bad)
+
+    def test_printed_upper_side_fails_on_private_target_classes(self):
+        # n = 3 classes per domain sharing one: a classifier that is perfect on the
+        # source classes has R_S = 0 and misses every private target class
+        sc = make_scenario("open-set", n=3, alpha=1 / 3)
+        s_y, t_y = np.asarray(sc.source_label_marginal), np.asarray(sc.target_label_marginal)
+        r_t = math.fsum(t_y[s_y == 0])
+        assert r_t == pytest.approx(2 / 3, abs=1e-15)
+        r = open_set_band(0.0, alpha=1 / 3, delta=0.0, r_t=r_t)
+        # R_S + sqrt(1 - alpha)/sqrt(2): the zero-one band's /sqrt(2), inherited
+        assert r.bound_hi == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
+        assert round(r.bound_hi, 5) == 0.57735
+        assert not r.holds
 
     def test_label_pair_js_stays_below_one_minus_alpha(self):
         for n, alpha in ((10, 0.5), (8, 0.25), (12, 0.75)):

@@ -83,13 +83,26 @@ class TestDispatch:
             dispatch(["counterexamples", *flag])
         assert exc.value.code == 2
 
-    def test_readme_cli_lines_parse(self):
+    @staticmethod
+    def readme_commands() -> list[list[str]]:
         block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```")[1]
         lines = block.replace("\\\n", " ").splitlines()[1:]  # drop the fence's "bash"
         commands = [shlex.split(line, comments=True) for line in lines]
         assert len(commands) >= 8 and all(argv[0] == "jsda" for argv in commands)
-        for argv in commands:
-            build_parser().parse_args(argv[1:])
+        return [argv[1:] for argv in commands]
+
+    def test_readme_cli_lines_parse(self):
+        for argv in self.readme_commands():
+            build_parser().parse_args(argv)
+
+    def test_one_parser_serves_every_call(self):
+        # a value given to one call must not leak into the next, in either order
+        assert build_parser() is build_parser()
+        argvs = [*self.readme_commands(), ["verify-bounds", "--suite", "pinsker"],
+                 ["verify-bounds"]]
+        for argv in [*argvs, *reversed(argvs)]:
+            fresh = build_parser.__wrapped__().parse_args(argv)
+            assert vars(build_parser().parse_args(argv)) == vars(fresh), argv
 
     def test_counterexamples_base_prints_divergences(self, capsys):
         assert dispatch(["counterexamples", "--base", "e"]) == 0

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports (``__init__`` re-exports),
-and every command-line option is read by the handler its subcommand dispatches to."""
+"""Every module of the package, every demo and every test uses each name it imports
+(the package's ``__init__`` re-exports), and every command-line option is read by the
+handler its subcommand dispatches to."""
 
 import argparse
 import ast
@@ -11,8 +12,12 @@ import pytest
 
 from jsda.cli import build_parser
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jsda"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jsda"
+# a package module by its file name, a demo or test as demos/<name> or tests/<name>
+SOURCES = [*sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+           *sorted(str(p.relative_to(ROOT)) for d in ("demos", "tests")
+                   for p in (ROOT / d).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,9 +39,10 @@ def test_scanner_finds_an_unused_import():
     assert unused_imports(source) == ["L", "os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_import(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+@pytest.mark.parametrize("source", SOURCES)
+def test_no_unused_import(source):
+    path = ROOT / source if "/" in source else PACKAGE / source
+    assert unused_imports(path.read_text()) == []
 
 
 def unread_options(parser: argparse.ArgumentParser) -> list[str]:

@@ -257,21 +257,20 @@ class TestSampling:
 
 
 class TestSampleBatch:
-    def test_keeps_read_only_slices_uncopied(self):
-        xs, ys = np.zeros((8, 2)), np.arange(8)
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        batch = SampleBatch(xs[2:6], ys[2:6])
-        assert np.shares_memory(batch.xs, xs) and np.shares_memory(batch.ys, ys)
-
     def test_copies_what_the_caller_can_write(self):
         xs, ys = np.zeros((8, 2)), np.arange(8)
         frozen_view = xs[2:6]
         frozen_view.setflags(write=False)  # read-only, but xs can still change it
+        locked_xs, locked_ys = xs.copy(), ys.copy()
+        locked_xs.setflags(write=False)
+        locked_ys.setflags(write=False)
         batches = [SampleBatch(xs, ys), SampleBatch(frozen_view, ys[2:6]),
-                   SampleBatch(xs.astype(np.float32), ys.astype(np.int32))]
+                   SampleBatch(xs.astype(np.float32), ys.astype(np.int32)),
+                   SampleBatch(locked_xs[2:6], locked_ys[2:6])]  # read-only all the way down
         for batch in batches:
-            assert not np.shares_memory(batch.xs, xs) and not np.shares_memory(batch.ys, ys)
+            for got, given in ((batch.xs, xs), (batch.ys, ys), (batch.xs, locked_xs),
+                               (batch.ys, locked_ys)):
+                assert not np.shares_memory(got, given)
             assert not batch.xs.flags.writeable and not batch.ys.flags.writeable
             assert batch.xs.dtype == np.float64 and batch.ys.dtype == np.int64
         xs[:] = 1.0

@@ -10,6 +10,7 @@ import pytest
 
 from jsda import (
     CentroidState,
+    ModelParams,
     TrainConfig,
     WeightVector,
     feature_shift_statistics,
@@ -130,6 +131,16 @@ class TestCompositeLoss:
         assert parts["adversarial"] == pytest.approx(-LOG4, abs=1e-12)
         assert parts["js_estimate"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_default_class_weights_are_the_pairs_label_frequencies(self):
+        m, src, tgt, st, w = small_fixture()
+        freq = (np.bincount(src.ys, minlength=2) / len(src)
+                + np.bincount(tgt.ys, minlength=2) / len(tgt))
+        parts, grads, new_st = loss_and_gradients(m, src, tgt, st, w, 0.5, 0.5)
+        want = loss_and_gradients(m, src, tgt, st, w, 0.5, 0.5, class_weights=freq)
+        assert parts == want[0] and np.array_equal(new_st.mu, want[2].mu)
+        for (name, got), (_, ref) in zip(grads.param_items(), want[1].param_items()):
+            assert got.tobytes() == ref.tobytes(), name
+
     def test_zero_weights_reduce_to_weighted_cross_entropy(self):
         m, src, tgt, st, w = small_fixture()
         parts, _, _ = loss_and_gradients(m, src, tgt, st, w, lam0=0.0, lam1=0.0)
@@ -166,6 +177,8 @@ class TestCompositeLoss:
         with pytest.raises(TrainingError, match="labels"):
             loss_and_gradients(m, src, tgt, st, w, 0.5, 0.5,
                                class_weights=np.array([0.9, 1.1]))
+        with pytest.raises(TrainingError, match="labels"):  # the default class weights
+            loss_and_gradients(m, src, tgt, st, w, 0.5, 0.5)
         with pytest.raises(TrainingError, match="labels"):
             train_step(m, src, tgt, st, w, 0.5, 0.5, 0.1,
                        class_weights=np.array([0.9, 1.1]))
@@ -265,10 +278,10 @@ class TestClassBatchedStepOracle:
         assert parts["conditional"] == t2
         for name in ("mu", "counts"):
             assert np.array_equal(getattr(new_st, name), getattr(ref_st, name)), name
-        assert np.array_equal(grads["b2"], np.add.reduce(dz))
-        assert np.array_equal(grads["w2"], dz.T @ a)
+        assert np.array_equal(grads.b2, np.add.reduce(dz))
+        assert np.array_equal(grads.w2, dz.T @ a)
         da = (dz @ m.w2) * (1.0 - a * a)
-        assert np.array_equal(grads["w1"], da.T @ np.concatenate((src.xs, tgt.xs)))
+        assert np.array_equal(grads.w1, da.T @ np.concatenate((src.xs, tgt.xs)))
 
     def test_sigmoid_equals_masked_sigmoid(self):
         special = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.nan])
@@ -294,6 +307,18 @@ class TestGradients:
         errs = grad_check(m, src, tgt, st, w, lam0=0.5, lam1=2.0)
         assert max(errs.values()) <= 1e-4
 
+    def test_gradient_audit_is_the_same_in_any_memory_order(self):
+        m, src, tgt, st, w = small_fixture()
+        fortran = ModelParams(**{name: np.asfortranarray(arr) for name, arr in m.param_items()})
+        assert not fortran.w1.flags.c_contiguous
+        assert grad_check(fortran, src, tgt, st, w) == grad_check(m, src, tgt, st, w)
+
+    def test_gradient_audit_leaves_the_model_unchanged(self):
+        m, src, tgt, st, w = small_fixture()
+        before = [arr.tobytes() for _, arr in m.param_items()]
+        grad_check(m, src, tgt, st, w)
+        assert [arr.tobytes() for _, arr in m.param_items()] == before
+
     def test_discriminator_ascends_extractor_descends(self):
         m, src, tgt, st, w = small_fixture()
         lam0, lam1, lr = 0.8, 0.6, 0.01
@@ -302,22 +327,23 @@ class TestGradients:
         _, grads, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1)
         m2, _, _ = train_step(m, src, tgt, st, w, lam0, lam1, lr)
         # d moves along +grad of the adversarial term
-        assert np.allclose(m2.wd - m.wd, lr * lam0 * g_adv["wd"], atol=1e-12)
+        assert np.allclose(m2.wd - m.wd, lr * lam0 * g_adv.wd, atol=1e-12)
         # g moves along -grad of the combined objective
-        assert np.allclose(m2.w1 - m.w1, -lr * grads["w1"], atol=1e-12)
+        assert np.allclose(m2.w1 - m.w1, -lr * grads.w1, atol=1e-12)
 
     def test_fused_gradient_is_linear_in_term_weights(self):
         # grad_check's per-term audit relies on this
         m, src, tgt, st, w = small_fixture()
         lam0, lam1 = 0.7, 0.9
         _, fused, _ = loss_and_gradients(m, src, tgt, st, w, lam0, lam1)
+        assert isinstance(fused, ModelParams)
         off = WeightVector(np.zeros(len(w.alpha)))  # term I off
         _, g1, _ = loss_and_gradients(m, src, tgt, st, w, 0.0, 0.0)
         _, g2, _ = loss_and_gradients(m, src, tgt, st, off, 0.0, 1.0)
         _, g3, _ = loss_and_gradients(m, src, tgt, st, off, 1.0, 0.0)
         for name, _ in m.param_items():
-            combined = g1[name] + lam1 * g2[name] + lam0 * g3[name]
-            assert np.max(np.abs(fused[name] - combined)) <= 1e-12, name
+            combined = getattr(g1, name) + lam1 * getattr(g2, name) + lam0 * getattr(g3, name)
+            assert np.max(np.abs(getattr(fused, name) - combined)) <= 1e-12, name
 
     def test_zero_learning_rate_is_identity(self):
         m, src, tgt, st, w = small_fixture()
