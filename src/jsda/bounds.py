@@ -16,10 +16,11 @@ rules they share: identical supports, and a ``BoundInputError`` for an atom
 with mass under only one joint (it has no conditional to compare).
 
 Verifiers run on the same pair share its joint JS, conditional families and
-marginal JS through ``functools.lru_cache``. The marginal JS reads the mass
-grids; its readers call ``_conditional_terms`` first, for the support check.
-The memos key on the ordered pair of joints, which compare by identity and
-are read-only, so a term of (t, s) is never taken for (s, t) and cannot go
+marginal JS, and each joint's risk under a loss table, through
+``functools.lru_cache``. The marginal JS reads the mass grids; its readers call
+``_conditional_terms`` first, for the support check. The memos key on the
+ordered pair of joints (or a joint and a loss table), which compare by identity
+and are read-only, so a term of (t, s) is never taken for (s, t) and cannot go
 stale; they hold at most two entries, and a raising call is not cached.
 
 A caution on the intrinsic-error transfer bound: the inequality as
@@ -133,8 +134,8 @@ def joint_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     elif tail.variant == "bounded" and tail.g + 1e-12 < l.range_g:
         raise BoundInputError(
             f"tail range g={tail.g} smaller than actual loss range {l.range_g}")
-    r_t = expected_risk(t, l)
-    r_s = expected_risk(s, l)
+    r_t = _risk(t, l)
+    r_s = _risk(s, l)
     js = _joint_js(s, t)
     hi = r_s + _gap_term(tail, js)
     return BoundReport(
@@ -155,8 +156,8 @@ def zero_one_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundReport:
     """
     if not l.is_zero_one:
         raise BoundInputError("the risk band requires zero-one loss")
-    r_t = expected_risk(t, l)
-    r_s = expected_risk(s, l)
+    r_t = _risk(t, l)
+    r_s = _risk(s, l)
     js = _joint_js(s, t)
     lo, hi = _band_limits(r_s, math.sqrt(js))
     return BoundReport(
@@ -204,6 +205,12 @@ def _joint_js(s: JointPmf, t: JointPmf) -> float:
 
 
 @lru_cache(maxsize=2)
+def _risk(j: JointPmf, l: LossTable) -> float:
+    """``expected_risk(j, l)``."""
+    return expected_risk(j, l)
+
+
+@lru_cache(maxsize=2)
 def _marginal_js(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
     """``js_divergence`` in nats of the two joints' ``marginals`` over X or Y, bit for bit."""
     return _js_pair(_marginal_probs(s, axis), _marginal_probs(t, axis), math.log)
@@ -231,8 +238,8 @@ def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,
     """
     tail = TailParams("bounded", g=l.range_g)
     cond_js, marg_js = _conditional_shift(s, t, axis), _marginal_js(s, t, axis)
-    r_t = expected_risk(t, l)
-    r_s = expected_risk(s, l)
+    r_t = _risk(t, l)
+    r_s = _risk(s, l)
     gap = _gap_term(tail, marg_js) + _gap_term(tail, cond_js)
     return BoundReport(
         name=f"decomposed_upper_{axis}", lhs=r_t, bound_hi=r_s + gap,
@@ -318,8 +325,8 @@ def matched_conditional_band(s: JointPmf, t: JointPmf, l: LossTable) -> BoundRep
             raise BoundInputError(
                 f"matched-conditional hypothesis violated at label {y!r}: JS={gap:.3g}")
     label_js = _marginal_js(s, t, "y")
-    r_s = expected_risk(s, l)
-    r_t = expected_risk(t, l)
+    r_s = _risk(s, l)
+    r_t = _risk(t, l)
     width = math.sqrt(2.0 * label_js)
     return BoundReport(
         name="matched_conditional_band", lhs=r_t,

@@ -92,7 +92,7 @@ def _js_rows(P: np.ndarray, Q: np.ndarray, log) -> list[float]:
         terms = A * log(2.0)  # 2a/(a + 0) is exactly 2 where only this side has mass
         terms[both] = a * np.fromiter(map(log, (2.0 * a / (p + q)).tolist()), float, a.size)
         live = A > 0.0
-        halves.append(np.array(_row_fsums(terms, live)))
+        halves.append(_row_fsums(terms, live))
     js = 0.5 * (halves[0] + halves[1])
     return list(map(_nonnegative, js.tolist())) if (js < 0.0).any() else js.tolist()
 

@@ -5,8 +5,7 @@ Everything here is double precision and deliberately boring: probability
 vectors that must sum to one within 1e-12, joint grids over X x Y, and loss
 tables with a recorded range. All types are frozen dataclasses whose arrays
 are locked read-only, so instances can be shared freely across threads; every
-operation here is a pure function. A ``JointPmf`` compares and hashes by
-identity.
+operation here is a pure function. Every type compares and hashes by identity.
 
 Conventions used throughout the package:
 
@@ -15,10 +14,13 @@ Conventions used throughout the package:
 - 0 * log 0 = 0 everywhere;
 - accumulation uses ``math.fsum`` so that pinned analytic values (e.g. exact
   disjoint-support divergences) come out bit-clean. From ARRAY_MIN_CELLS cells
-  on, per-row sums take whole arrays: the terms are the loops' IEEE operations
-  done element-wise, each log is still ``math.log`` on a Python float, and
-  ``math.fsum`` of a row's live terms is correctly rounded, so their order
-  cannot change a bit;
+  on, per-row sums (and the conditional rows' sum check) take whole arrays: the
+  terms are the loops' IEEE operations done element-wise, each log is still
+  ``math.log`` on a Python float, and ``math.fsum`` of a row's live terms is
+  correctly rounded, so their order cannot change a bit. Rows of at most two
+  cells are summed by one whole-array add from +0.0, as the correctly rounded
+  sum of two floats is their IEEE sum; a non-finite sum falls back to
+  ``math.fsum`` and its errors;
 - ``Pmf(...)`` validates and is the only public constructor. The unchecked
   ``Pmf._unchecked`` is used only on arrays derived from objects that were
   already validated (marginals, aligned supports, sum-checked conditional
@@ -55,13 +57,19 @@ def _check_total(total: float, what: str = "probabilities sum") -> None:
         raise DistributionError(f"{what} to {total!r}, not 1")
 
 
-def _row_fsums(terms: np.ndarray, live: np.ndarray) -> list[float]:
-    """``math.fsum`` of each row of the 2-D ``terms`` over its ``live`` cells only;
-    a row without live cells sums to 0.0."""
+def _row_fsums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of the 2-D ``terms`` over its ``live`` cells only, as
+    a float array; a row without live cells sums to 0.0."""
+    if terms.shape[1] <= 2:  # the correctly rounded sum of two floats is their IEEE sum
+        with np.errstate(over="ignore", invalid="ignore"):  # fsum's errors come below
+            # from +0.0, which turns a -0.0 sum into 0.0 as fsum does
+            sums = sum(np.where(live, terms, 0.0).T, np.zeros(len(terms)))
+        if np.isfinite(sums).all():
+            return sums
     if live.all():
-        return list(map(math.fsum, terms.tolist()))
+        return np.fromiter(map(math.fsum, terms.tolist()), float, len(terms))
     it = iter(terms[live].tolist())
-    return [math.fsum(islice(it, n)) for n in live.sum(axis=1).tolist()]
+    return np.array([math.fsum(islice(it, n)) for n in live.sum(axis=1).tolist()])
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
@@ -71,7 +79,7 @@ def _freeze(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over an ordered finite support.
 
@@ -168,7 +176,7 @@ class JointPmf:
         return JointPmf(xs, ys, np.asarray(d["mass"], dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossTable:
     """Per-(x, y) loss values with their recorded range.
 
@@ -219,7 +227,12 @@ def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.nda
         raise DistributionError(f"unknown conditioning axis {axis!r}")
     live = weights > 0
     normed = rows / np.where(live, weights, 1.0)[:, None]
-    for total in map(math.fsum, compress(normed.tolist(), live.tolist())):
+    if normed.size < ARRAY_MIN_CELLS:
+        totals = map(math.fsum, compress(normed.tolist(), live.tolist()))
+    else:  # only the first failing row's total, to raise the loop's message
+        sums = _row_fsums(normed, np.broadcast_to(live[:, None], normed.shape))
+        totals = sums[live & ~(abs(sums - 1.0) <= VALIDITY_TOL)][:1].tolist()
+    for total in totals:
         _check_total(total)
     return atoms, weights, normed
 

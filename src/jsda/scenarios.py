@@ -320,7 +320,7 @@ def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
     """
     _check_integer(grid, "grid", 2)
     centers = _grid_centers(sc, grid)
-    x_atoms = tuple(map(tuple, centers.tolist()))
+    x_atoms = tuple(zip(*centers.T.tolist()))
     y_atoms = tuple(range(sc.n_classes))
     if sc.kind == "cofeature" and domain == "target":
         source_mass = _mixture_cell_mass(sc, "source", centers)

@@ -6,9 +6,11 @@ pinned minimal counterexamples for the printed constants that are not
 (the reports must say holds=False there; that is the honest verdict).
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import math
 from unittest.mock import patch
 
@@ -38,13 +40,14 @@ from jsda import (
     risk_band_from_values,
     zero_one_band,
 )
-from jsda.bounds import (BoundInputError, _conditional_terms, _joint_js,
-                         _marginal_js)
+from jsda.bounds import (BoundInputError, _conditional_terms, _joint_js, _marginal_js,
+                         _risk)
 from jsda.pmf import DistributionError
 from jsda.scenarios import discretize, make_scenario, midpoint_classifier
 from jsda.suites import random_joint, random_joint_pair, run_suite, violations
 from test_divergence import ROW_SETTINGS, row_pairs
 
+BOUNDS_MODULE = importlib.import_module("jsda.bounds")
 LN2 = math.log(2.0)
 
 
@@ -619,6 +622,14 @@ def _outcome(call):
     return repr(tuple((f.name, getattr(r, f.name)) for f in dataclasses.fields(r)))
 
 
+@contextlib.contextmanager
+def _crossover(cells):
+    """``ARRAY_MIN_CELLS`` set to ``cells`` wherever it selects a row-kernel path."""
+    with patch.object(importlib.import_module("jsda.pmf"), "ARRAY_MIN_CELLS", cells), \
+         patch.object(importlib.import_module("jsda.divergence"), "ARRAY_MIN_CELLS", cells):
+        yield
+
+
 def test_grid_analysis_digest_pinned():
     """All seven verifiers on one 24² pair of each scenario kind, pinned bit for bit."""
     h = hashlib.sha256()
@@ -627,6 +638,14 @@ def test_grid_analysis_digest_pinned():
             h.update(_outcome(call).encode() + b"\n")
     assert h.hexdigest() == (
         "380e9f935ace7ba94b87e2d998f7f3f029f68ef1abbd1cd4d4c4f79cd249bae9")
+
+
+@pytest.mark.parametrize("cells", [0, 10**9], ids=["arrays", "loops"])
+def test_grid_analysis_digest_pinned_on_either_path(cells):
+    """The same digest with every row kernel whole-array, and with every one a loop
+    (each pair is discretized afresh, so the memos miss)."""
+    with _crossover(cells):
+        test_grid_analysis_digest_pinned()
 
 
 def _sparse_joint(rng, nx, ny):
@@ -694,13 +713,10 @@ class TestPairTerms:
         assume(min(totals) > 0.0)
         l = LossTable(np.indices(grids[0].shape).sum(axis=0) % 2.0)
         outcomes = []
-        for crossover in (0, 10**9):
+        for cells in (0, 10**9):
             s, t = (JointPmf(tuple(range(g.shape[0])), tuple(range(g.shape[1])), g / total)
                     for g, total in zip(grids, totals))  # new joints: the memos miss
-            with patch.object(importlib.import_module("jsda.pmf"), "ARRAY_MIN_CELLS",
-                              crossover), \
-                 patch.object(importlib.import_module("jsda.divergence"), "ARRAY_MIN_CELLS",
-                              crossover):
+            with _crossover(cells):
                 outcomes.append([_outcome(call) for call in (
                     lambda: decomposed_upper_bound(s, t, l, axis="x"),
                     lambda: decomposed_upper_bound(s, t, l, axis="y"),
@@ -722,23 +738,36 @@ class TestPairTerms:
         with pytest.raises(BoundInputError, match="missing conditional at atom 1"):
             intrinsic_error_upper_bound(s, t)
 
+    @staticmethod
+    def _memo_keys():
+        """Each memo of ``jsda.bounds`` with a key and keys that must miss after it: equal
+        contents in another joint or loss table, and the reversed pair."""
+        s, t = random_joint_pair(np.random.default_rng(32))
+        l = uniform_loss(s.shape, np.random.default_rng(33))
+        s_copy, l_copy = _copy(s), LossTable(l.values)
+        return {_conditional_terms: [(s, t, "y|x"), (s_copy, t, "y|x"), (t, s, "y|x")],
+                _joint_js: [(s, t), (s_copy, t), (t, s)],
+                _marginal_js: [(s, t, "x"), (s_copy, t, "x"), (t, s, "x")],
+                _risk: [(s, l), (s_copy, l), (s, l_copy)]}
+
     def test_memo_keyed_on_identity(self):
-        rng = np.random.default_rng(32)
-        s, t = random_joint_pair(rng)
-        s_copy = _copy(s)
-        assert s == s and s != s_copy and hash(s) != hash(s_copy)
-        for memo, args in ((_conditional_terms, ("y|x",)), (_joint_js, ()),
-                           (_marginal_js, ("x",))):
-            value = memo(s, t, *args)
+        for memo, (key, *others) in self._memo_keys().items():
+            value = memo(*key)
             info = memo.cache_info()
-            assert memo(s, t, *args) is value
+            assert memo(*key) is value
             assert memo.cache_info().hits == info.hits + 1
-            memo(s_copy, t, *args)  # equal contents, another joint: a miss
-            assert memo.cache_info().misses == info.misses + 1
-            memo(t, s, *args)  # the reversed pair is another key
-            assert memo.cache_info().misses == info.misses + 2
+            for k, other in enumerate(others, 1):
+                assert other[0] != key[0] or other[1] != key[1]
+                memo(*other)
+                assert memo.cache_info().misses == info.misses + k
             assert memo.cache_info().maxsize in (1, 2)
             assert memo.cache_info().currsize <= memo.cache_info().maxsize
+
+    def test_every_memo_is_keyed_on_identity(self):
+        """A memo added to ``jsda.bounds`` must join ``test_memo_keyed_on_identity``."""
+        memos = {f for _, f in inspect.getmembers(BOUNDS_MODULE, callable)
+                 if hasattr(f, "cache_info")}
+        assert memos == set(self._memo_keys())
 
     def test_stored_arrays_are_read_only(self):
         rng = np.random.default_rng(33)

@@ -1,7 +1,9 @@
 """Distribution-core tests: validity, marginals/conditionals, risk, conditional entropy."""
 
 import importlib
+import itertools
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -21,7 +23,7 @@ from jsda import (
     marginals,
     mixture,
 )
-from jsda.pmf import _conditional_entropy, conditional_rows
+from jsda.pmf import _conditional_entropy, _row_fsums, conditional_rows
 from test_divergence import ROW_SETTINGS, row_pairs
 
 PMF_MODULE = importlib.import_module("jsda.pmf")
@@ -91,6 +93,14 @@ class TestValidation:
         p = Pmf((0, 1), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
+
+    def test_types_compare_and_hash_by_identity(self):
+        probs = np.array([0.5, 0.5])
+        for make in (lambda: Pmf((0, 1), probs), lambda: LossTable(probs[None]),
+                     lambda: JointPmf((0,), (0, 1), probs[None])):
+            a, b = make(), make()
+            assert a == a and a != b and hash(a) == hash(a) and hash(a) != hash(b)
+            assert len({a, b, a}) == 2
 
     def test_loss_range_is_exact(self):
         l = LossTable(np.array([[0.25, 1.5], [-0.5, 0.75]]))
@@ -300,12 +310,16 @@ class TestRowKernels:
                 assert repr(_conditional_entropy(np.ones(1), np.array([[x]]))) == repr(-x * math.log(x))
 
     def test_bad_row_sum_raises_the_same_message(self):
-        # y|x row 1 sums to nan, row 0 to 0.0, row 2 to nan
-        for mass in (np.array([[0.5, 0.5], [np.inf, 1.0]]),
-                     np.array([[1e308, 1e308], [0.2, 0.3]]),
-                     np.array([[0.0, 0.0], [0.2, 0.3], [np.inf, 0.0]])):
+        # y|x row 1 sums to nan, row 0 to 0.0, row 2 to nan; then a 2nd row failing after a 1st
+        for mass, crossover in itertools.product(
+                (np.array([[0.5, 0.5], [np.inf, 1.0]]),
+                 np.array([[1e308, 1e308], [0.2, 0.3]]),
+                 np.array([[0.0, 0.0], [0.2, 0.3], [np.inf, 0.0]]),
+                 np.array([[0.2, 0.3], [0.0, 0.0], [1e308, 1e308], [np.inf, 1.0]])),
+                (PMF_MODULE.ARRAY_MIN_CELLS, 0)):  # as selected, and the array form
             j = _unvalidated_joint(mass)
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                 patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", crossover):
                 with pytest.raises(DistributionError) as want:
                     _per_row_conditional_rows(j, "y|x")
                 with pytest.raises(DistributionError) as got:
@@ -340,6 +354,45 @@ class TestRowKernels:
                     except DistributionError as e:
                         outcomes.append(str(e))
             assert outcomes[0] == outcomes[1]
+
+
+# Row terms: signed zeros and subnormals, the smallest normal, and 1.0 beside -2**-53 and
+# 1 + 2**-52, whose sums with it round. Drawn floats stay within ±2**1022, so no sum of two
+# overflows (overflow has its own test).
+TERMS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -(2.0**-53), 1.0 + 2.0**-52)
+
+
+class TestRowFsums:
+    """Rows of at most two cells are summed as whole arrays, with ``math.fsum``'s bits."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.integers(0, 2), st.data())
+    def test_narrow_rows_equal_per_row_fsum(self, width, data):
+        cells = st.one_of(st.sampled_from(TERMS), st.floats(-(2.0**1022), 2.0**1022))
+        rows = data.draw(st.lists(st.lists(st.tuples(cells, st.booleans()),
+                                           min_size=width, max_size=width), max_size=8))
+        terms = np.array([[v for v, _ in row] for row in rows]).reshape(len(rows), width)
+        live = np.array([[k for _, k in row] for row in rows], bool).reshape(terms.shape)
+        want = [repr(math.fsum([v for v, k in row if k])) for row in rows]
+        assert list(map(repr, _row_fsums(terms, live).tolist())) == want
+        assert list(map(repr, _row_fsums(terms, np.ones_like(live)).tolist())) == [
+            repr(math.fsum(row)) for row in terms.tolist()]
+
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf],
+                                     [math.inf, -math.inf], [1e308, 1e308], [-1e308, -1e308],
+                                     [1.7976931348623157e308, 1e292]])
+    def test_non_finite_or_overflowing_rows_act_as_fsum(self, row):
+        terms = np.array([[0.25, 0.5], row, [0.125, 0.0]])
+        live = np.ones(terms.shape, bool)
+        try:
+            want = repr(math.fsum(row))
+        except (ValueError, OverflowError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                _row_fsums(terms, live)
+        else:
+            assert [repr(v) for v in _row_fsums(terms, live).tolist()] == ["0.75", want, "0.125"]
+        dead = np.array([[True, True], [False, False], [True, False]])
+        assert _row_fsums(terms, dead).tolist() == [0.75, 0.0, 0.125]
 
 
 class TestMixture:

@@ -323,6 +323,10 @@ class TestDiscretization:
         t = discretize(sc, "target", grid=8)
         assert s.x_atoms == t.x_atoms
         assert isinstance(s, JointPmf)
+        # the atoms are the cell centers as tuples of Python floats
+        assert s.x_atoms == tuple(map(tuple, _grid_centers(sc, 8).tolist()))
+        assert {type(a) for a in s.x_atoms} == {tuple}
+        assert {type(c) for a in s.x_atoms for c in a} == {float}
 
     def test_grid_lower_bound(self):
         sc = make_scenario("conditional-shift")
