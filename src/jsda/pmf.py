@@ -14,8 +14,8 @@ Conventions used throughout the package:
 - 0 * log 0 = 0 everywhere;
 - accumulation uses ``math.fsum`` so that pinned analytic values (e.g. exact
   disjoint-support divergences) come out bit-clean. From ARRAY_MIN_CELLS cells
-  on, per-row sums (and the conditional rows' sum check) take whole arrays: the
-  terms are the loops' IEEE operations done element-wise, each log is still
+  on, per-row sums (and the conditional rows' sum check, on rows of at most two
+  cells) take whole arrays: the terms are the loops' IEEE operations done element-wise, each log is still
   ``math.log`` on a Python float, and ``math.fsum`` of a row's live terms is
   correctly rounded, so their order cannot change a bit. Rows of at most two
   cells are summed by one whole-array add from +0.0, as the correctly rounded
@@ -227,7 +227,10 @@ def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.nda
         raise DistributionError(f"unknown conditioning axis {axis!r}")
     live = weights > 0
     normed = rows / np.where(live, weights, 1.0)[:, None]
-    if normed.size < ARRAY_MIN_CELLS:
+    # Measured: the whole-array check beats this loop on rows of at most two cells from
+    # 256 cells on. On wider rows it ran up to 1.9x slower once some rows were dead, and
+    # on the suites joints (at most 32 cells) it cost 7.6 % of instances/s (10 of 10 pairs).
+    if normed.shape[1] > 2 or normed.size < ARRAY_MIN_CELLS:
         totals = map(math.fsum, compress(normed.tolist(), live.tolist()))
     else:  # only the first failing row's total, to raise the loop's message
         sums = _row_fsums(normed, np.broadcast_to(live[:, None], normed.shape))
