@@ -377,8 +377,8 @@ class TestPairProperties:
 # Row cells: zero, the smallest subnormal and normal masses, a point mass, or (codes 4-7) a
 # uniform draw from the example's generator, which costs far less than a drawn float.
 ROW_CELLS = (0.0, 5e-324, 2.0**-1022, 1.0)
-# Row counts that put arrays of 1-3 columns on both sides of ARRAY_MIN_CELLS = 512.
-ROW_COUNTS = (1, 2, 5, 171, 257)
+# Row counts that put arrays of 1-3 columns on both sides of ARRAY_MIN_CELLS = 384.
+ROW_COUNTS = (1, 2, 5, 129, 385)
 # Half the examples keep the three row-kernel properties inside the property layer's
 # share of Tier-1 (about 3 s).
 ROW_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=50)
@@ -448,6 +448,54 @@ class TestJsRows:
             p, q = sparse_probs(rng, n), sparse_probs(rng, n)
             got = js_divergence(Pmf(tuple(range(n)), p), Pmf(tuple(range(n)), q), base)
             assert repr(got) == repr(_nonnegative(_js(p.tolist(), q.tolist(), log)))
+
+    @staticmethod
+    def _pairs_where_log_differs(rng, np_log, log, n):
+        """``n`` cell pairs of uniform masses, first those whose ratio 2p/(p + q) takes a
+        different log from ``np_log`` than from ``log`` (an ulp apart on this machine's
+        SIMD path), then others."""
+        p, q = rng.random(400_000), rng.random(400_000)
+        ratio = 2.0 * p / (p + q)
+        differs = np_log(ratio) != np.array(list(map(log, ratio.tolist())))
+        first = np.argsort(~differs, kind="stable")[:n]
+        return p[first], q[first]
+
+    def test_array_form_takes_math_log_where_np_log_differs(self):
+        """A row total rarely shows a one-ulp log; one-cell and two-cell rows do."""
+        p, q = self._pairs_where_log_differs(np.random.default_rng(66), np.log, math.log, 128)
+        for P, Q in ((p[:, None], q[:, None]), (p.reshape(-1, 2), q.reshape(-1, 2))):
+            with patch.object(DIVERGENCE_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
+                got = list(map(repr, _js_rows(P, Q, math.log)))
+            assert got == list(map(repr, js_rows_loops(P, Q, math.log)))
+
+    def test_bits_keep_math_log2_per_element(self):
+        p, q = self._pairs_where_log_differs(np.random.default_rng(67), np.log2, math.log2, 512)
+        P, Q = p[:, None], q[:, None]
+        assert P.size >= ARRAY_MIN_CELLS  # the array form, as selected
+        assert list(map(repr, _js_rows(P, Q, math.log2))) == \
+            list(map(repr, js_rows_loops(P, Q, math.log2)))
+
+    @pytest.mark.parametrize("crossover", [ARRAY_MIN_CELLS, 0])
+    def test_negative_rows_clamp_or_raise_as_the_loops(self, crossover):
+        """Rows of large, nearly equal masses give JS a little below 0 (set to 0.0) or at or
+        below -1e-15 (an error naming the first such row's value); a NaN row passes."""
+        rng = np.random.default_rng(68)
+        P = rng.random((400, 2)) * 10.0 ** rng.integers(0, 17, (400, 1))
+        Q = P * (1.0 + rng.integers(-4, 5, P.shape) * 2.0**-52)
+        P[7, 0] = Q[7, 0] = np.inf  # 2p/(p + q) = inf/inf: a NaN row
+        js = np.array([_js(p, q, math.log) for p, q in zip(P.tolist(), Q.tolist())])
+        noise, bad = (js < 0.0) & (js > -1e-15), js <= -1e-15
+        assert noise.sum() > 5 and bad.sum() > 5
+        with np.errstate(invalid="ignore"), \
+             patch.object(DIVERGENCE_MODULE, "ARRAY_MIN_CELLS", crossover):
+            kept = ~bad
+            assert list(map(repr, _js_rows(P[kept], Q[kept], math.log))) == \
+                list(map(repr, js_rows_loops(P[kept], Q[kept], math.log)))
+            with pytest.raises(DistributionError) as want:
+                js_rows_loops(P, Q, math.log)
+            with pytest.raises(DistributionError) as got:
+                _js_rows(P, Q, math.log)
+        assert str(got.value) == str(want.value)
 
 
 class TestConditionalFamily:

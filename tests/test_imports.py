@@ -1,11 +1,14 @@
 """Every module of the package, every demo and every test uses each name it imports
-(the package's ``__init__`` re-exports), and every command-line option is read by the
-handler its subcommand dispatches to."""
+(the package's ``__init__`` re-exports), every command-line option is read by the
+handler its subcommand dispatches to, and importing the package loads no scipy."""
 
 import argparse
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,12 @@ def test_scanner_finds_an_unread_option():
 
 def test_every_cli_option_is_read_by_its_handler():
     assert unread_options(build_parser()) == []
+
+
+def test_import_leaves_scipy_unloaded():
+    """The kernels import ``scipy.special`` on first use: loaded with the package, it
+    would double the start-up time of every command."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = ("import sys, jsda, jsda.cli; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

@@ -1,10 +1,6 @@
 """Scenario generator tests: construction, sampling, discretization."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +21,6 @@ from jsda import (
 )
 from jsda.scenarios import (SampleBatch, ScenarioError, _grid_centers, _mixture_cell_mass,
                             bounding_box)
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_cov_scenario(rng):
@@ -412,9 +406,3 @@ class TestClassifierHelpers:
         grid_risk = expected_risk(t, LossTable(values))
         assert grid_risk == pytest.approx(linear_zero_one_risk(sc, "target", w, b),
                                           abs=5e-3)
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, jsda, jsda.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
