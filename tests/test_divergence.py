@@ -452,8 +452,8 @@ class TestJsRows:
     @staticmethod
     def _pairs_where_log_differs(rng, np_log, log, n):
         """``n`` cell pairs of uniform masses, first those whose ratio 2p/(p + q) takes a
-        different log from ``np_log`` than from ``log`` (an ulp apart on this machine's
-        SIMD path), then others."""
+        different log from ``np_log`` than from ``log`` (numpy's SIMD logs can miss by an
+        ulp), then others."""
         p, q = rng.random(400_000), rng.random(400_000)
         ratio = 2.0 * p / (p + q)
         differs = np_log(ratio) != np.array(list(map(log, ratio.tolist())))
