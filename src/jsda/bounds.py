@@ -15,9 +15,9 @@ conditional families from one core, ``_conditional_terms``, which holds the
 rules they share: identical supports, and a ``BoundInputError`` for an atom
 with mass under only one joint (it has no conditional to compare).
 
-Verifiers run on the same pair share its joint JS, conditional families and
-marginal JS, and each joint's risk under a loss table, through
-``functools.lru_cache``. The marginal JS reads the mass grids; its readers call
+Verifiers run on the same pair share its joint JS, conditional families,
+marginal JS and summed conditional JS (``_conditional_shift``), and each
+joint's risk under a loss table, through ``functools.lru_cache``. The marginal JS reads the mass grids; its readers call
 ``_conditional_terms`` first, for the support check. The memos key on the
 ordered pair of joints (or a joint and a loss table), which compare by identity
 and are read-only, so a term of (t, s) is never taken for (s, t) and cannot go
@@ -43,7 +43,7 @@ import numpy as np
 
 from .divergence import _js_pair, _js_rows, js_divergence
 from .labelshift import WeightVector, _true_label_ratio, reweighted_risk
-from .pmf import (Axis, JointPmf, LossTable, MarginalAxis, Pmf, _conditional_entropy,
+from .pmf import (Axis, JointPmf, LossTable, MarginalAxis, Pmf, _conditional_entropy, _fsum,
                   _marginal_probs, conditional_rows, expected_risk)
 from .scenarios import (_check_fraction, _check_integer, linear_zero_one_risk, make_scenario,
                         midpoint_classifier, sample)
@@ -216,10 +216,11 @@ def _marginal_js(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
     return _js_pair(_marginal_probs(s, axis), _marginal_probs(t, axis), math.log)
 
 
+@lru_cache(maxsize=2)
 def _conditional_shift(s: JointPmf, t: JointPmf, axis: MarginalAxis) -> float:
     """Summed expected conditional JS along one axis, in nats."""
     (s_marg, _), (t_marg, _), js = _conditional_terms(s, t, _CONDITIONING[axis])
-    return math.fsum((t_marg * js).tolist()) + math.fsum((s_marg * js).tolist())
+    return _fsum(t_marg * js) + _fsum(s_marg * js)
 
 
 def decomposed_upper_bound(s: JointPmf, t: JointPmf, l: LossTable,

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .divergence import divergence, h_divergence_1d, js_divergence
-from .pmf import DistributionError, Pmf, mixture
+from .pmf import DistributionError, Pmf, _fsum, mixture
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def _exact_uniform(coords: list[float]) -> Pmf:
     # which keeps the disjoint-support JS bit-exact at 1 in base 2
     probs = np.full(len(coords), 1.0 / len(coords))
     for _ in range(3):
-        residual = 1.0 - math.fsum(probs.tolist())
+        residual = 1.0 - _fsum(probs)
         if residual == 0.0:
             break
         probs[0] += residual

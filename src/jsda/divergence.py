@@ -23,8 +23,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .pmf import (ARRAY_MIN_CELLS, DistributionError, JointPmf, Pmf, _row_fsums, _xlogy,
-                  align_supports)
+from .pmf import (ARRAY_MIN_CELLS, DistributionError, JointPmf, Pmf, _fsum, _row_fsums,
+                  _xlogy, align_supports)
 
 DivergenceKind = Literal["KL", "JS", "TV", "Renyi2"]
 LogBase = Literal["e", "2"]
@@ -216,4 +216,4 @@ def pushforward(p: Pmf, mapping: Callable) -> Pmf:
             order.append(image)
         out[image] += m
     probs = np.array([out[a] for a in order])
-    return Pmf(tuple(order), probs / math.fsum(probs.tolist()))
+    return Pmf(tuple(order), probs / _fsum(probs))

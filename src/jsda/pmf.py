@@ -14,17 +14,26 @@ Conventions used throughout the package:
 - 0 * log 0 = 0 everywhere;
 - accumulation uses ``math.fsum`` so that pinned analytic values (e.g. exact
   disjoint-support divergences) come out bit-clean. From ARRAY_MIN_CELLS cells
-  on, per-row sums (and the conditional rows' sum check, on rows of at most two
-  cells) take whole arrays: the terms are the loops' IEEE operations done
-  element-wise, and ``math.fsum`` of a row's live terms is correctly rounded, so
-  their order cannot change a bit. Each natural log is the C library's ``log``, as
-  in ``math.log``: one call of scipy's ``xlogy`` per array, imported on first use.
+  on, array sums and per-row sums (and the conditional rows' sum check, on rows
+  of at most two cells or on rows wider than the family is tall) take whole
+  arrays: the terms are the loops' IEEE operations done element-wise, and
+  ``math.fsum`` of a row's live terms is correctly rounded, so their order cannot
+  change a bit. Rows of at most two cells are summed by one whole-array add from
+  +0.0, as the correctly rounded sum of two floats is their IEEE sum; a
+  non-finite sum falls back to ``math.fsum`` and its errors;
+- ``_fsum`` takes the other whole-array sums by exponent bins (Demmel & Hida,
+  SIAM J. Sci. Comput. 25(4), 2003): ``frexp`` cuts each term exactly into
+  halves of 26 and 27 bits, ``bincount`` adds the halves of one exponent as
+  integers below 2**53 (for fewer than 2**26 terms), and ``ldexp`` scales each
+  bin back exactly (a bin is a multiple of 2**-1074 below 2**53 of its units, so
+  subnormals need no fallback). The parts add up to the sum exactly, so their
+  ``math.fsum`` is its correctly rounded value, ``math.fsum``'s own bits. A
+  non-finite term, a term of 2**997 or more or 2**26 terms fall back to ``math.fsum``;
+- each natural log of a whole array is the C library's ``log``, as in
+  ``math.log``: one call of scipy's ``xlogy`` per array, imported on first use.
   numpy 2.4.6's AVX-512 ``np.log`` missed ``math.log`` by an ulp on 28,060 of
-  8,000,000 uniform inputs in (0, 2), and ``np.log2`` missed ``math.log2`` on 5,039
-  of 2,000,000, so base-2 logs stay ``math.log2`` on each Python float. Rows of at
-  most two cells are summed by one whole-array add from +0.0, as the correctly
-  rounded sum of two floats is their IEEE sum; a non-finite sum falls back to
-  ``math.fsum`` and its errors;
+  8,000,000 uniform inputs in (0, 2), and ``np.log2`` missed ``math.log2`` on
+  5,039 of 2,000,000, so base-2 logs stay ``math.log2`` on each Python float;
 - ``Pmf(...)`` validates and is the only public constructor. The unchecked
   ``Pmf._unchecked`` is used only on arrays derived from objects that were
   already validated (marginals, aligned supports, sum-checked conditional
@@ -43,11 +52,13 @@ from typing import Literal, Sequence
 import numpy as np
 
 VALIDITY_TOL = 1e-12
-# From this many cells on, per-row exact sums take whole arrays. Measured at 384 cells on
+# From this many cells on, exact sums take whole arrays. Measured at 384 cells on
 # rows 1-384 cells wide (medians of 21 alternations): the JS kernel's array form took
 # 0.10-0.56x the loops' time in nats and 0.21-1.01x in bits (whose logs stay per element),
 # the entropy's 0.12-0.56x. At 256 cells the bits form took up to 1.14x on rows of 8 or
-# more cells, and at 64 cells the entropy's up to 1.56x.
+# more cells, and at 64 cells the entropy's up to 1.56x. ``_fsum``'s bins cost about 20 us
+# a call: on discretized masses, 1.53x a list's ``math.fsum`` at 392 cells, 1.00x at 648,
+# 0.60x at 1,152 and 0.25x at 3,200.
 ARRAY_MIN_CELLS = 384
 
 Axis = Literal["y|x", "x|y"]
@@ -63,6 +74,30 @@ def _check_total(total: float, what: str = "probabilities sum") -> None:
         raise DistributionError(f"{what} to {total!r}, not 1")
 
 
+def _fsum(a: np.ndarray):
+    """``math.fsum(a.tolist())`` of a 1-D float array, or a float array of the ``math.fsum``
+    of each row of a 2-D one, bit for bit; from ARRAY_MIN_CELLS cells on by exponent bins
+    (see the module docstring)."""
+    if ARRAY_MIN_CELLS <= a.size and 0 < a.size < 2**26:
+        rows = a if a.ndim == 2 else a[None]
+        mant, exp = np.frexp(rows)
+        lo, hi = int(exp.min()), int(exp.max())
+        if hi <= 997 and np.isfinite(mant).all():  # so no bin, and no sum, overflows
+            scaled = mant * 2.0**26  # a term is scaled * 2**(exp - 26)
+            high = np.trunc(scaled)  # an integer below 2**26
+            width, index = hi - lo + 1, exp - lo  # one bin per (row, exponent)
+            if len(rows) > 1:
+                index = index + np.arange(0, len(rows) * width, width)[:, None]
+            bins = [np.ldexp(np.bincount(index.ravel(), half.ravel(), len(rows) * width)
+                             .reshape(len(rows), width), np.arange(lo - 26, hi - 25)).tolist()
+                    for half in (high, scaled - high)]  # the low half: 27 bits below the point
+            sums = [math.fsum(h + l) for h, l in zip(*bins)]
+            return sums[0] if a.ndim == 1 else np.array(sums)
+    if a.ndim == 1:
+        return math.fsum(a.tolist())
+    return np.array(list(map(math.fsum, a.tolist())))
+
+
 def _row_fsums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each row of the 2-D ``terms`` over its ``live`` cells only, as
     a float array; a row without live cells sums to 0.0."""
@@ -72,6 +107,8 @@ def _row_fsums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
             sums = sum(np.where(live, terms, 0.0).T, np.zeros(len(terms)))
         if np.isfinite(sums).all():
             return sums
+    elif len(terms) < terms.shape[1]:  # wide rows: one bincount over (row, exponent)
+        return _fsum(np.where(live, terms, 0.0))
     if live.all():
         return np.fromiter(map(math.fsum, terms.tolist()), float, len(terms))
     it = iter(terms[live].tolist())
@@ -117,7 +154,7 @@ class Pmf:
             raise DistributionError("support atoms must be unique")
         if (self.probs < 0).any():
             raise DistributionError("negative probability mass")
-        _check_total(math.fsum(self.probs.tolist()))
+        _check_total(_fsum(self.probs))
 
     @classmethod
     def _unchecked(cls, atoms: tuple, probs: np.ndarray) -> "Pmf":
@@ -172,7 +209,7 @@ class JointPmf:
             raise DistributionError("support atoms must be unique")
         if (self.mass < 0).any():
             raise DistributionError("negative joint mass")
-        _check_total(math.fsum(self.mass.ravel().tolist()), "joint mass sums")
+        _check_total(_fsum(self.mass.ravel()), "joint mass sums")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -221,7 +258,7 @@ class LossTable:
 def _marginal_probs(j: JointPmf, axis: MarginalAxis) -> np.ndarray:
     """The grid's row ("x") or column ("y") sums over their fsum, which absorbs drift."""
     sums = j.mass.sum(axis=1 if axis == "x" else 0)
-    return sums / math.fsum(sums.tolist())
+    return sums / _fsum(sums)
 
 
 def marginals(j: JointPmf) -> tuple[Pmf, Pmf]:
@@ -245,9 +282,10 @@ def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.nda
     live = weights > 0
     normed = rows / np.where(live, weights, 1.0)[:, None]
     # Measured: the whole-array check beats this loop on rows of at most two cells from
-    # 256 cells on. On wider rows it ran up to 1.9x slower once some rows were dead, and
-    # on the suites joints (at most 32 cells) it cost 7.6 % of instances/s (10 of 10 pairs).
-    if normed.shape[1] > 2 or normed.size < ARRAY_MIN_CELLS:
+    # 256 cells on. On rows of 3-32 cells it ran up to 1.9x slower once some rows were
+    # dead, and on the suites joints (at most 32 cells) it cost 7.6 % of instances/s (10
+    # of 10 pairs). Rows wider than the family is tall take ``_fsum``'s bins.
+    if normed.size < ARRAY_MIN_CELLS or 2 < normed.shape[1] <= normed.shape[0]:
         totals = map(math.fsum, compress(normed.tolist(), live.tolist()))
     else:  # only the first failing row's total, to raise the loop's message
         sums = _row_fsums(normed, np.broadcast_to(live[:, None], normed.shape))
@@ -279,7 +317,7 @@ def expected_risk(j: JointPmf, l: LossTable) -> float:
     if l.values.shape != j.shape:
         raise DistributionError(
             f"loss grid {l.values.shape} does not match joint {j.shape}")
-    return math.fsum((j.mass * l.values).ravel().tolist())
+    return _fsum((j.mass * l.values).ravel())
 
 
 def _conditional_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
@@ -294,7 +332,7 @@ def _conditional_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
     terms = np.zeros(rows.shape)
     v = rows[mass]
     terms[mass] = -_xlogy(v, v)  # negation is exact: the bits of -v * log(v)
-    return math.fsum((weights[live] * _row_fsums(terms, mass)).tolist())
+    return _fsum(weights[live] * _row_fsums(terms, mass))
 
 
 def mixture(p: Pmf, q: Pmf) -> Pmf:
@@ -312,11 +350,11 @@ def align_supports(p: Pmf, q: Pmf) -> tuple[Pmf, Pmf]:
 
     Atom order is p's support followed by q's atoms not in p.
     """
-    p_set = set(p.atoms)
-    atoms = p.atoms + tuple(a for a in q.atoms if a not in p_set)
-    index = {a: i for i, a in enumerate(atoms)}
+    index = dict(zip(p.atoms, range(len(p))))
+    at = [index.setdefault(a, len(index)) for a in q.atoms]  # q's new atoms go last
+    atoms = tuple(index)
     pp = np.zeros(len(atoms))
     qq = np.zeros(len(atoms))
-    pp[: len(p.atoms)] = p.probs
-    qq[[index[a] for a in q.atoms]] = q.probs
+    pp[: len(p)] = p.probs
+    qq[at] = q.probs
     return Pmf._unchecked(atoms, pp), Pmf._unchecked(atoms, qq)

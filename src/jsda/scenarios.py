@@ -30,7 +30,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .pmf import JointPmf, _freeze
+from .pmf import JointPmf, _freeze, _fsum
 
 Domain = Literal["source", "target"]
 
@@ -334,7 +334,7 @@ def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
         mass = target_feature[:, None] * cond
     else:
         mass = _mixture_cell_mass(sc, domain, centers)
-    total = math.fsum(mass.ravel().tolist())
+    total = _fsum(mass.ravel())
     return JointPmf(x_atoms, y_atoms, mass / total)
 
 

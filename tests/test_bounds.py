@@ -40,8 +40,8 @@ from jsda import (
     risk_band_from_values,
     zero_one_band,
 )
-from jsda.bounds import (BoundInputError, _conditional_terms, _joint_js, _marginal_js,
-                         _risk)
+from jsda.bounds import (BoundInputError, _conditional_shift, _conditional_terms, _joint_js,
+                         _marginal_js, _risk)
 from jsda.pmf import DistributionError
 from jsda.scenarios import discretize, make_scenario, midpoint_classifier
 from jsda.suites import random_joint, random_joint_pair, run_suite, violations
@@ -648,6 +648,22 @@ def test_grid_analysis_digest_pinned_on_either_path(cells):
         test_grid_analysis_digest_pinned()
 
 
+def test_grid_analysis_sums_no_grid_sized_list():
+    """A 40² label-shift analysis sums every array of ARRAY_MIN_CELLS cells or more by
+    ``pmf._fsum``'s bins, never by ``math.fsum`` over a list."""
+    sizes, fsum = [], math.fsum
+
+    def counting_fsum(terms):
+        terms = list(terms)
+        sizes.append(len(terms))
+        return fsum(terms)
+
+    with patch.object(math, "fsum", counting_fsum):
+        for call in _grid_verifiers(*_grid_pair("label-shift", 40)):
+            call()
+    assert sizes and max(sizes) < importlib.import_module("jsda.pmf").ARRAY_MIN_CELLS
+
+
 def _sparse_joint(rng, nx, ny):
     """A joint with zero cells and, often, an all-zero row or column."""
     mass = rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.7)
@@ -748,6 +764,7 @@ class TestPairTerms:
         return {_conditional_terms: [(s, t, "y|x"), (s_copy, t, "y|x"), (t, s, "y|x")],
                 _joint_js: [(s, t), (s_copy, t), (t, s)],
                 _marginal_js: [(s, t, "x"), (s_copy, t, "x"), (t, s, "x")],
+                _conditional_shift: [(s, t, "x"), (s_copy, t, "x"), (t, s, "x")],
                 _risk: [(s, l), (s_copy, l), (s, l_copy)]}
 
     def test_memo_keyed_on_identity(self):

@@ -23,7 +23,8 @@ from jsda import (
     marginals,
     mixture,
 )
-from jsda.pmf import _conditional_entropy, _row_fsums, _xlogy, conditional_rows
+from jsda.pmf import _conditional_entropy, _fsum, _row_fsums, _xlogy, conditional_rows
+from jsda.scenarios import discretize, make_scenario
 from test_divergence import ROW_SETTINGS, row_pairs
 
 PMF_MODULE = importlib.import_module("jsda.pmf")
@@ -385,6 +386,8 @@ class TestRowKernels:
 # 1 + 2**-52, whose sums with it round. Drawn floats stay within ±2**1022, so no sum of two
 # overflows (overflow has its own test).
 TERMS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -(2.0**-53), 1.0 + 2.0**-52)
+BAD_ROWS = ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [math.inf, -math.inf],
+            [1e308, 1e308], [-1e308, -1e308], [1.7976931348623157e308, 1e292])
 
 
 class TestRowFsums:
@@ -403,9 +406,7 @@ class TestRowFsums:
         assert list(map(repr, _row_fsums(terms, np.ones_like(live)).tolist())) == [
             repr(math.fsum(row)) for row in terms.tolist()]
 
-    @pytest.mark.parametrize("row", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf],
-                                     [math.inf, -math.inf], [1e308, 1e308], [-1e308, -1e308],
-                                     [1.7976931348623157e308, 1e292]])
+    @pytest.mark.parametrize("row", BAD_ROWS)
     def test_non_finite_or_overflowing_rows_act_as_fsum(self, row):
         terms = np.array([[0.25, 0.5], row, [0.125, 0.0]])
         live = np.ones(terms.shape, bool)
@@ -418,6 +419,104 @@ class TestRowFsums:
             assert [repr(v) for v in _row_fsums(terms, live).tolist()] == ["0.75", want, "0.125"]
         dead = np.array([[True, True], [False, False], [True, False]])
         assert _row_fsums(terms, dead).tolist() == [0.75, 0.0, 0.125]
+
+
+@st.composite
+def fsum_arrays(draw):
+    """ARRAY_MIN_CELLS to 4,096 floats of mixed signs and exponents within a drawn span
+    of +-1000, with drawn signed zeros, subnormals, exact cancellations (x, -x) and, in
+    some arrays, the half-way tie 1 + 2**-53 with a few tiny terms of either sign."""
+    n = draw(st.integers(PMF_MODULE.ARRAY_MIN_CELLS, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-1000, 1000))
+    hi = draw(st.integers(lo, min(lo + 200, 1000)))
+    a = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n) * np.exp2(rng.integers(lo, hi + 1, n))
+    if draw(st.booleans()):  # a tie broken, or not, only by the tiny terms
+        a[:] = 0.0
+        a[:2] = 1.0, 2.0**-53
+        k = draw(st.integers(0, 4))
+        a[2:2 + k] = rng.choice([-1.0, 1.0], k) * np.exp2(-rng.integers(54, 1000, k))
+    cancel = draw(st.integers(0, n // 2))
+    a[n - cancel:] = -a[:cancel]
+    for value in draw(st.lists(st.sampled_from(TERMS), max_size=8)):
+        a[int(rng.integers(n))] = value
+    rng.shuffle(a)
+    return a
+
+
+def _scenario_grids(grid):
+    """The mass grids ``discretize`` gives at ``grid``², source and target, of one binary
+    scenario of each kind."""
+    for kind, params in (
+            ("label-shift", dict(source_label_marginal=(0.5, 0.5), target_label_marginal=(0.8, 0.2))),
+            ("conditional-shift", dict(source_label_marginal=(0.5, 0.5),
+                                       target_label_marginal=(0.8, 0.2), rotation_deg=35.0)),
+            ("cofeature", dict(source_label_marginal=(0.6, 0.4), feature_shift=(0.8, -0.3))),
+            ("open-set", dict(n=1, alpha=0.5))):
+        sc = make_scenario(kind, **params)
+        for domain in ("source", "target"):
+            yield discretize(sc, domain, grid).mass
+
+
+class TestFsum:
+    """``_fsum`` sums by exponent bins with ``math.fsum``'s bits. The 2**26-term guard is
+    not run: it would need a 512 MiB array."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(fsum_arrays())
+    def test_equals_fsum(self, a):
+        assert repr(_fsum(a)) == repr(math.fsum(a.tolist()))
+        rows = a[: a.size // 3 * 3].reshape(3, -1)
+        assert [repr(v) for v in _fsum(rows).tolist()] == [
+            repr(math.fsum(row)) for row in rows.tolist()]
+
+    def test_seeded_sweep_and_scenario_grids_equal_fsum(self):
+        rng = np.random.default_rng(29)
+        arrays = []
+        for grid in range(24, 49):
+            for mass in _scenario_grids(grid):
+                arrays += [mass.ravel(), mass.sum(axis=1), mass.T, (mass * mass).ravel()]
+        for _ in range(300):
+            n = int(rng.integers(PMF_MODULE.ARRAY_MIN_CELLS, 4097))
+            a = rng.standard_normal(n) * np.exp2(rng.integers(-1000, 998, n))
+            a[rng.random(n) < 0.1] = 0.0
+            arrays += [a, np.exp2(rng.integers(-80, 0, n)) * rng.random(n), a[: n // 2 * 2].reshape(2, -1)]
+        assert sum(a.size for a in arrays) >= 1_000_000
+        for a in arrays:
+            want = [math.fsum(row) for row in np.atleast_2d(a).tolist()]
+            got = np.atleast_2d(_fsum(a)).ravel().tolist()
+            assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_non_finite_or_overflowing_terms_act_as_fsum(self, row):
+        a = np.full(512, 2.0**-9)
+        a[[17, 400]] = row
+        try:
+            want = repr(math.fsum(a.tolist()))
+        except (ValueError, OverflowError) as e:
+            with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+                _fsum(a)
+        else:
+            assert repr(_fsum(a)) == want
+
+    def test_empty_and_small_arrays_act_as_fsum(self):
+        for crossover in (PMF_MODULE.ARRAY_MIN_CELLS, 0):  # as selected, and the kernel's guard
+            with patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", crossover):
+                assert repr(_fsum(np.zeros(0))) == "0.0"
+                assert _fsum(np.zeros((0, 3))).tolist() == []
+                for a in ([-0.0, -0.0], [0.1, 0.2, 0.3], [1.0, 2.0**-53, 2.0**-60]):
+                    assert repr(_fsum(np.array(a))) == repr(math.fsum(a))
+
+    def test_wide_rows_with_dead_cells_equal_fsum_of_the_live_cells(self):
+        rng = np.random.default_rng(30)
+        for rows, width in ((1, 3200), (2, 1600), (3, 700), (2, 3)):
+            terms = rng.random((rows, width)) * np.exp2(-rng.integers(0, 80, (rows, width)))
+            live = rng.random(terms.shape) < 0.8
+            live[-1] = False  # a row without live cells sums to 0.0
+            terms[~live] = rng.choice([math.nan, math.inf, -1e308], int((~live).sum()))
+            want = [math.fsum([v for v, k in zip(r, m) if k])
+                    for r, m in zip(terms.tolist(), live.tolist())]
+            assert [repr(v) for v in _row_fsums(terms, live).tolist()] == list(map(repr, want))
 
 
 class TestMixture:
@@ -447,6 +546,39 @@ def test_align_supports_zero_fills():
     assert pa.atoms == (0, 1, 2)
     assert np.allclose(pa.probs, [0.4, 0.6, 0.0])
     assert np.allclose(qa.probs, [0.0, 0.1, 0.9])
+
+
+def _align_by_union_index(p, q):
+    """The union alignment as a set of p's atoms and an index over the union."""
+    p_set = set(p.atoms)
+    atoms = p.atoms + tuple(a for a in q.atoms if a not in p_set)
+    index = {a: i for i, a in enumerate(atoms)}
+    pp, qq = np.zeros(len(atoms)), np.zeros(len(atoms))
+    pp[: len(p.atoms)] = p.probs
+    qq[[index[a] for a in q.atoms]] = q.probs
+    return atoms, pp, qq
+
+
+@pytest.mark.parametrize("p_atoms, q_atoms", [
+    ((0, 1, 2), (1, 2, 3, 4)),  # overlapping
+    ((0, 1), (2, 3, 4)),  # disjoint
+    ((0, 1, 2, 3), (3, 1, 0, 2)),  # permuted
+    ((0, 1, 2), (0, 1, 2)),  # identical
+    ((0.0, 1, "a"), (-0.0, 1.0, "b")),  # equal atoms of other types keep p's
+    ((True, 2.5), (1, -0.0, 3.0)),
+    ((-0.0, 1.0), (0, True, (1, 2))),
+    (tuple(range(0, 4000, 2)), tuple(range(1, 4001, 2)) + (0, 2)),
+])
+def test_align_supports_equals_the_union_index(p_atoms, q_atoms):
+    rng = np.random.default_rng(len(p_atoms) + len(q_atoms))
+    p, q = (Pmf(atoms, w / math.fsum(w.tolist()))
+            for atoms, w in ((p_atoms, rng.random(len(p_atoms))),
+                             (q_atoms, rng.random(len(q_atoms)))))
+    atoms, pp, qq = _align_by_union_index(p, q)
+    pa, qa = align_supports(p, q)
+    assert pa.atoms == qa.atoms == atoms and repr(pa.atoms) == repr(atoms)
+    assert repr(pa.probs.tolist()) == repr(pp.tolist())
+    assert repr(qa.probs.tolist()) == repr(qq.tolist())
 
 
 def test_joint_json_round_trip():
