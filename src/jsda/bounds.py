@@ -17,11 +17,12 @@ with mass under only one joint (it has no conditional to compare).
 
 Verifiers run on the same pair share its joint JS, conditional families,
 marginal JS and summed conditional JS (``_conditional_shift``), and each
-joint's risk under a loss table, through ``functools.lru_cache``. The marginal JS reads the mass grids; its readers call
-``_conditional_terms`` first, for the support check. The memos key on the
-ordered pair of joints (or a joint and a loss table), which compare by identity
-and are read-only, so a term of (t, s) is never taken for (s, t) and cannot go
-stale; they hold at most two entries, and a raising call is not cached.
+joint's risk under a loss table, through ``functools.lru_cache``. The
+marginal JS reads the mass grids; its readers call ``_conditional_terms``
+first, for the support check. The memos key on the ordered pair of joints
+(or a joint and a loss table), which compare by identity and are read-only,
+so a term of (t, s) is never taken for (s, t) and cannot go stale; they hold
+at most two entries, and a raising call is not cached.
 
 A caution on the intrinsic-error transfer bound: the inequality as
 implemented is not universally valid. Near deterministic conditionals the
