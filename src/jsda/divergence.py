@@ -23,8 +23,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .pmf import (ARRAY_MIN_CELLS, DistributionError, JointPmf, Pmf, _fsum, _row_fsums,
-                  _xlogy, align_supports)
+from . import pmf
+from .pmf import DistributionError, JointPmf, Pmf, _fsum, _xlogy, align_supports
 
 DivergenceKind = Literal["KL", "JS", "TV", "Renyi2"]
 LogBase = Literal["e", "2"]
@@ -53,14 +53,9 @@ def _paired_probs(p: Pmf | JointPmf, q: Pmf | JointPmf) -> tuple[np.ndarray, np.
     raise DistributionError("divergence requires two Pmfs or two JointPmfs")
 
 
-# The scalar kernels loop over aligned probability lists (``ndarray.tolist()``),
-# several times faster than over numpy scalars. ``_js_rows`` takes whole arrays
-# from ARRAY_MIN_CELLS cells on, with the same bits (see ``jsda.pmf``). Its natural
-# logs are one ``_xlogy`` call per array: scipy's ``xlogy`` (imported on first use)
-# through the C library's ``log``, as ``math.log``. Its base-2 logs stay ``math.log2``
-# calls on Python floats. numpy 2.4.6's AVX-512 ``np.log`` missed ``math.log`` by an
-# ulp on 28,060 of 8,000,000 uniform ratios in (0, 2), and ``np.log2`` missed
-# ``math.log2`` on 5,039 of 2,000,000.
+# The scalar kernels loop over aligned probability lists (``ndarray.tolist()``), several
+# times faster than over numpy scalars; ``_js_rows`` takes whole arrays with their bits
+# from ``pmf.ARRAY_MIN_CELLS`` cells on (see ``jsda.pmf`` on sums and logs).
 
 def _kl(p: list[float], q: list[float], log) -> float:
     terms = []
@@ -87,15 +82,16 @@ def _js(p: list[float], q: list[float], log) -> float:
 def _js_rows(P: np.ndarray, Q: np.ndarray, log) -> list[float]:
     """``_js`` of each row pair of two same-shape 2-D arrays, clamped as ``divergence``
     does, bit for bit."""
-    if P.size < ARRAY_MIN_CELLS:
+    if P.size < pmf.ARRAY_MIN_CELLS:
         return [_nonnegative(_js(p, q, log)) for p, q in zip(P.tolist(), Q.tolist())]
     both = (P > 0.0) & (Q > 0.0)
     p, q = P[both], Q[both]
     halves = []
     for A, a in ((P, p), (Q, q)):
-        terms = A * log(2.0)  # 2a/(a + 0) is exactly 2 where only this side has mass
+        # 2a/(a + 0) is exactly 2 where only this side has mass; a cell without it is 0.0
+        terms = A * log(2.0)
         terms[both] = _xlogy(a, 2.0 * a / (p + q), log)
-        halves.append(_row_fsums(terms, A > 0.0))
+        halves.append(_fsum(terms))
     js = 0.5 * (halves[0] + halves[1])
     negative = js < 0.0  # NaN and -0.0 pass, as through _nonnegative
     if negative.any():
@@ -105,7 +101,7 @@ def _js_rows(P: np.ndarray, Q: np.ndarray, log) -> list[float]:
 
 def _js_pair(p: np.ndarray, q: np.ndarray, log) -> float:
     """``_js_rows`` of one pair of 1-D arrays; below ARRAY_MIN_CELLS without the 2-D trip."""
-    if p.size < ARRAY_MIN_CELLS:
+    if p.size < pmf.ARRAY_MIN_CELLS:
         return _nonnegative(_js(p.tolist(), q.tolist(), log))
     return _js_rows(p[None], q[None], log)[0]
 

@@ -12,23 +12,20 @@ Conventions used throughout the package:
 - zero-mass atoms are legal and kept in supports (union-support divergence
   computation needs them), but they never produce a conditional distribution;
 - 0 * log 0 = 0 everywhere;
-- accumulation uses ``math.fsum`` so that pinned analytic values (e.g. exact
-  disjoint-support divergences) come out bit-clean. From ARRAY_MIN_CELLS cells
-  on, array sums and per-row sums (and the conditional rows' sum check, on rows
-  of at most two cells or on rows wider than the family is tall) take whole
-  arrays: the terms are the loops' IEEE operations done element-wise, and
-  ``math.fsum`` of a row's live terms is correctly rounded, so their order cannot
-  change a bit. Rows of at most two cells are summed by one whole-array add from
-  +0.0, as the correctly rounded sum of two floats is their IEEE sum; a
-  non-finite sum falls back to ``math.fsum`` and its errors;
-- ``_fsum`` takes the other whole-array sums by exponent bins (Demmel & Hida,
-  SIAM J. Sci. Comput. 25(4), 2003): ``frexp`` cuts each term exactly into
-  halves of 26 and 27 bits, ``bincount`` adds the halves of one exponent as
-  integers below 2**53 (for fewer than 2**26 terms), and ``ldexp`` scales each
-  bin back exactly (a bin is a multiple of 2**-1074 below 2**53 of its units, so
-  subnormals need no fallback). The parts add up to the sum exactly, so their
-  ``math.fsum`` is its correctly rounded value, ``math.fsum``'s own bits. A
-  non-finite term, a term of 2**997 or more or 2**26 terms fall back to ``math.fsum``;
+- every sum is ``math.fsum``'s correctly rounded value, so pinned analytic values
+  (e.g. exact disjoint-support divergences) come out bit-clean and no term order
+  changes a bit. ``_fsum`` takes each row of an array (a 1-D array is one row) in
+  one of three forms: below ARRAY_MIN_CELLS cells, and on rows of 3+ cells in an
+  array at least as tall as they are wide, a list's ``math.fsum`` per row; on rows
+  of at most two cells, one whole-array add from +0.0 (the correctly rounded sum
+  of two floats is their IEEE sum); on wider rows, exponent bins (Demmel & Hida,
+  SIAM J. Sci. Comput. 25(4), 2003): ``frexp`` cuts each term exactly into halves
+  of 26 and 27 bits, ``bincount`` adds the halves of one exponent as integers
+  below 2**53, and ``ldexp`` scales each bin back exactly, subnormals included,
+  so ``math.fsum`` of the bins rounds the exact sum. A non-finite sum or term, a
+  term of 2**997 or more and 2**26 cells or more fall back to the lists and their
+  errors. From ARRAY_MIN_CELLS cells on, the row kernels take their terms as whole
+  arrays by the loops' IEEE operations, with zeros in the cells that do not count;
 - each natural log of a whole array is the C library's ``log``, as in
   ``math.log``: one call of scipy's ``xlogy`` per array, imported on first use.
   numpy 2.4.6's AVX-512 ``np.log`` missed ``math.log`` by an ulp on 28,060 of
@@ -46,7 +43,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress
 from typing import Literal, Sequence
 
 import numpy as np
@@ -76,43 +73,34 @@ def _check_total(total: float, what: str = "probabilities sum") -> None:
 
 def _fsum(a: np.ndarray):
     """``math.fsum(a.tolist())`` of a 1-D float array, or a float array of the ``math.fsum``
-    of each row of a 2-D one, bit for bit; from ARRAY_MIN_CELLS cells on by exponent bins
-    (see the module docstring)."""
-    if ARRAY_MIN_CELLS <= a.size and 0 < a.size < 2**26:
+    of each row of a 2-D one, bit for bit, in the form that the array's shape picks (see
+    the module docstring); a 1-D array is one row."""
+    if ARRAY_MIN_CELLS <= a.size < 2**26 and a.size:
         rows = a if a.ndim == 2 else a[None]
-        mant, exp = np.frexp(rows)
-        lo, hi = int(exp.min()), int(exp.max())
-        if hi <= 997 and np.isfinite(mant).all():  # so no bin, and no sum, overflows
-            scaled = mant * 2.0**26  # a term is scaled * 2**(exp - 26)
-            high = np.trunc(scaled)  # an integer below 2**26
-            width, index = hi - lo + 1, exp - lo  # one bin per (row, exponent)
-            if len(rows) > 1:
-                index = index + np.arange(0, len(rows) * width, width)[:, None]
-            bins = [np.ldexp(np.bincount(index.ravel(), half.ravel(), len(rows) * width)
-                             .reshape(len(rows), width), np.arange(lo - 26, hi - 25)).tolist()
-                    for half in (high, scaled - high)]  # the low half: 27 bits below the point
-            sums = [math.fsum(h + l) for h, l in zip(*bins)]
-            return sums[0] if a.ndim == 1 else np.array(sums)
+        if rows.shape[1] <= 2:  # the correctly rounded sum of two floats is their IEEE sum
+            with np.errstate(over="ignore", invalid="ignore"):  # fsum's errors come below
+                # from +0.0, which turns a -0.0 sum into 0.0 as fsum does
+                sums = sum(rows.T, np.zeros(len(rows)))
+            if np.isfinite(sums).all():
+                return sums if a.ndim == 2 else sums.item()
+        elif len(rows) < rows.shape[1]:  # wide rows: one bincount over (row, exponent)
+            mant, exp = np.frexp(rows)
+            lo, hi = int(exp.min()), int(exp.max())
+            if hi <= 997 and np.isfinite(mant).all():  # so no bin, and no sum, overflows
+                scaled = mant * 2.0**26  # a term is scaled * 2**(exp - 26)
+                high = np.trunc(scaled)  # an integer below 2**26
+                width, index = hi - lo + 1, exp - lo  # one bin per (row, exponent)
+                if len(rows) > 1:
+                    index = index + np.arange(0, len(rows) * width, width)[:, None]
+                bins = [np.ldexp(np.bincount(index.ravel(), half.ravel(), len(rows) * width)
+                                 .reshape(len(rows), width), np.arange(lo - 26, hi - 25)).tolist()
+                        for half in (high, scaled - high)]  # the low half: 27 bits below the point
+                sums = [math.fsum(h + l) for h, l in zip(*bins)]
+                return np.array(sums) if a.ndim == 2 else sums[0]
+    # lists, also for tall arrays of 3+-cell rows: the bins' work grows as rows x exponents
     if a.ndim == 1:
         return math.fsum(a.tolist())
-    return np.array(list(map(math.fsum, a.tolist())))
-
-
-def _row_fsums(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of the 2-D ``terms`` over its ``live`` cells only, as
-    a float array; a row without live cells sums to 0.0."""
-    if terms.shape[1] <= 2:  # the correctly rounded sum of two floats is their IEEE sum
-        with np.errstate(over="ignore", invalid="ignore"):  # fsum's errors come below
-            # from +0.0, which turns a -0.0 sum into 0.0 as fsum does
-            sums = sum(np.where(live, terms, 0.0).T, np.zeros(len(terms)))
-        if np.isfinite(sums).all():
-            return sums
-    elif len(terms) < terms.shape[1]:  # wide rows: one bincount over (row, exponent)
-        return _fsum(np.where(live, terms, 0.0))
-    if live.all():
-        return np.fromiter(map(math.fsum, terms.tolist()), float, len(terms))
-    it = iter(terms[live].tolist())
-    return np.array([math.fsum(islice(it, n)) for n in live.sum(axis=1).tolist()])
+    return np.fromiter(map(math.fsum, a.tolist()), float, len(a))
 
 
 def _xlogy(a: np.ndarray, r: np.ndarray, log=math.log) -> np.ndarray:
@@ -281,14 +269,11 @@ def conditional_rows(j: JointPmf, axis: Axis) -> tuple[tuple, np.ndarray, np.nda
         raise DistributionError(f"unknown conditioning axis {axis!r}")
     live = weights > 0
     normed = rows / np.where(live, weights, 1.0)[:, None]
-    # Measured: the whole-array check beats this loop on rows of at most two cells from
-    # 256 cells on. On rows of 3-32 cells it ran up to 1.9x slower once some rows were
-    # dead, and on the suites joints (at most 32 cells) it cost 7.6 % of instances/s (10
-    # of 10 pairs). Rows wider than the family is tall take ``_fsum``'s bins.
-    if normed.size < ARRAY_MIN_CELLS or 2 < normed.shape[1] <= normed.shape[0]:
+    # the loop, as the whole-array check cost 7.6 % of instances/s on the suites' joints
+    if normed.size < ARRAY_MIN_CELLS:
         totals = map(math.fsum, compress(normed.tolist(), live.tolist()))
     else:  # only the first failing row's total, to raise the loop's message
-        sums = _row_fsums(normed, np.broadcast_to(live[:, None], normed.shape))
+        sums = _fsum(normed)  # a zero-weight row is all zeros, and sums to 0.0
         totals = sums[live & ~(abs(sums - 1.0) <= VALIDITY_TOL)][:1].tolist()
     for total in totals:
         _check_total(total)
@@ -326,13 +311,11 @@ def _conditional_entropy(weights: np.ndarray, rows: np.ndarray) -> float:
     if rows.size < ARRAY_MIN_CELLS:
         return math.fsum([w * math.fsum([-v * math.log(v) for v in row if v > 0.0])
                           for w, row in zip(weights.tolist(), rows.tolist()) if w > 0])
-    live = weights > 0
-    rows = rows[live]
     mass = rows > 0.0
     terms = np.zeros(rows.shape)
     v = rows[mass]
     terms[mass] = -_xlogy(v, v)  # negation is exact: the bits of -v * log(v)
-    return _fsum(weights[live] * _row_fsums(terms, mass))
+    return _fsum(weights * _fsum(terms))  # a zero-weight row is all zeros
 
 
 def mixture(p: Pmf, q: Pmf) -> Pmf:

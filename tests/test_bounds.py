@@ -624,10 +624,24 @@ def _outcome(call):
 
 @contextlib.contextmanager
 def _crossover(cells):
-    """``ARRAY_MIN_CELLS`` set to ``cells`` wherever it selects a row-kernel path."""
-    with patch.object(importlib.import_module("jsda.pmf"), "ARRAY_MIN_CELLS", cells), \
-         patch.object(importlib.import_module("jsda.divergence"), "ARRAY_MIN_CELLS", cells):
+    """``ARRAY_MIN_CELLS`` set to ``cells``; its one binding selects every row-kernel path."""
+    with patch.object(importlib.import_module("jsda.pmf"), "ARRAY_MIN_CELLS", cells):
         yield
+
+
+@pytest.mark.parametrize("cells, reached", [(0, True), (10**9, False)], ids=["arrays", "loops"])
+def test_crossover_switches_every_row_kernel(cells, reached):
+    """The crossover sends a 2x2 pair's intrinsic-error bound to the array forms of both
+    ``jsda.pmf`` (the entropy) and ``jsda.divergence`` (the conditional JS), or to neither:
+    each array form takes its natural logs through its module's ``_xlogy``."""
+    mass = np.array([[0.1, 0.2], [0.3, 0.4]])
+    s, t = (JointPmf((0, 1), (0, 1), m) for m in (mass, mass[::-1]))  # new joints: the memos miss
+    modules = [importlib.import_module(name) for name in ("jsda.pmf", "jsda.divergence")]
+    with _crossover(cells), \
+         patch.object(modules[0], "_xlogy", wraps=modules[0]._xlogy) as pmf_xlogy, \
+         patch.object(modules[1], "_xlogy", wraps=modules[1]._xlogy) as divergence_xlogy:
+        intrinsic_error_upper_bound(s, t)
+    assert [pmf_xlogy.called, divergence_xlogy.called] == [reached, reached]
 
 
 def test_grid_analysis_digest_pinned():

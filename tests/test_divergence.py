@@ -31,7 +31,7 @@ from jsda.cases import counterexample1, interleaved_uniforms
 from jsda.divergence import _js, _js_rows, _nonnegative
 from jsda.pmf import ARRAY_MIN_CELLS
 
-DIVERGENCE_MODULE = importlib.import_module("jsda.divergence")  # the package binds the function
+PMF_MODULE = importlib.import_module("jsda.pmf")
 
 
 def random_pmf(rng, n=None):
@@ -437,7 +437,7 @@ class TestJsRows:
         for log in (math.log, math.log2):
             want = list(map(repr, js_rows_loops(P, Q, log)))
             assert list(map(repr, _js_rows(P, Q, log))) == want
-            with patch.object(DIVERGENCE_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
+            with patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
                 assert list(map(repr, _js_rows(P, Q, log))) == want
 
     @pytest.mark.parametrize("base", ["e", "2"])
@@ -464,7 +464,7 @@ class TestJsRows:
         """A row total rarely shows a one-ulp log; one-cell and two-cell rows do."""
         p, q = self._pairs_where_log_differs(np.random.default_rng(66), np.log, math.log, 128)
         for P, Q in ((p[:, None], q[:, None]), (p.reshape(-1, 2), q.reshape(-1, 2))):
-            with patch.object(DIVERGENCE_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
+            with patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
                 got = list(map(repr, _js_rows(P, Q, math.log)))
             assert got == list(map(repr, js_rows_loops(P, Q, math.log)))
 
@@ -487,7 +487,7 @@ class TestJsRows:
         noise, bad = (js < 0.0) & (js > -1e-15), js <= -1e-15
         assert noise.sum() > 5 and bad.sum() > 5
         with np.errstate(invalid="ignore"), \
-             patch.object(DIVERGENCE_MODULE, "ARRAY_MIN_CELLS", crossover):
+             patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", crossover):
             kept = ~bad
             assert list(map(repr, _js_rows(P[kept], Q[kept], math.log))) == \
                 list(map(repr, js_rows_loops(P[kept], Q[kept], math.log)))

@@ -23,7 +23,7 @@ from jsda import (
     marginals,
     mixture,
 )
-from jsda.pmf import _conditional_entropy, _fsum, _row_fsums, _xlogy, conditional_rows
+from jsda.pmf import _conditional_entropy, _fsum, _xlogy, conditional_rows
 from jsda.scenarios import discretize, make_scenario
 from test_divergence import ROW_SETTINGS, row_pairs
 
@@ -336,12 +336,17 @@ class TestRowKernels:
         assert list(zip(a[bad].tolist(), r[bad].tolist(), map(repr, got[bad].tolist()))) == []
 
     def test_bad_row_sum_raises_the_same_message(self):
-        # y|x row 1 sums to nan, row 0 to 0.0, row 2 to nan; then a 2nd row failing after a 1st
+        # y|x row 1 sums to nan, row 0 to 0.0, row 2 to nan; then a 2nd row failing after a
+        # 1st; then rows of three cells, tall (lists per row) and wide (bins, which fall back)
         for mass, crossover in itertools.product(
                 (np.array([[0.5, 0.5], [np.inf, 1.0]]),
                  np.array([[1e308, 1e308], [0.2, 0.3]]),
                  np.array([[0.0, 0.0], [0.2, 0.3], [np.inf, 0.0]]),
-                 np.array([[0.2, 0.3], [0.0, 0.0], [1e308, 1e308], [np.inf, 1.0]])),
+                 np.array([[0.2, 0.3], [0.0, 0.0], [1e308, 1e308], [np.inf, 1.0]]),
+                 np.array([[0.2, 0.3, 0.5], [np.inf, 1.0, 0.0], [0.1, 0.1, 0.1]]),
+                 np.array([[0.2, 0.3, 0.5], [0.0, 0.0, 0.0], [1e308, 1e308, 1e308],
+                           [np.inf, 1.0, 2.0]]),
+                 np.array([[1e308, 1e308, 0.0], [np.inf, 0.0, 1.0]])),
                 (PMF_MODULE.ARRAY_MIN_CELLS, 0)):  # as selected, and the array form
             j = _unvalidated_joint(mass)
             with np.errstate(over="ignore", invalid="ignore"), \
@@ -390,8 +395,9 @@ BAD_ROWS = ([math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [math.inf, -math
             [1e308, 1e308], [-1e308, -1e308], [1.7976931348623157e308, 1e292])
 
 
-class TestRowFsums:
-    """Rows of at most two cells are summed as whole arrays, with ``math.fsum``'s bits."""
+class TestNarrowRows:
+    """``_fsum`` sums rows of at most two cells as whole arrays, with ``math.fsum``'s bits;
+    callers zero the cells that do not count."""
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.integers(0, 2), st.data())
@@ -402,23 +408,25 @@ class TestRowFsums:
         terms = np.array([[v for v, _ in row] for row in rows]).reshape(len(rows), width)
         live = np.array([[k for _, k in row] for row in rows], bool).reshape(terms.shape)
         want = [repr(math.fsum([v for v, k in row if k])) for row in rows]
-        assert list(map(repr, _row_fsums(terms, live).tolist())) == want
-        assert list(map(repr, _row_fsums(terms, np.ones_like(live)).tolist())) == [
-            repr(math.fsum(row)) for row in terms.tolist()]
+        for crossover in (PMF_MODULE.ARRAY_MIN_CELLS, 0):  # zeros for dead cells: lists, arrays
+            with patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", crossover):
+                assert list(map(repr, _fsum(np.where(live, terms, 0.0)).tolist())) == want
+                assert list(map(repr, _fsum(terms).tolist())) == [
+                    repr(math.fsum(row)) for row in terms.tolist()]
 
     @pytest.mark.parametrize("row", BAD_ROWS)
     def test_non_finite_or_overflowing_rows_act_as_fsum(self, row):
         terms = np.array([[0.25, 0.5], row, [0.125, 0.0]])
-        live = np.ones(terms.shape, bool)
-        try:
-            want = repr(math.fsum(row))
-        except (ValueError, OverflowError) as e:
-            with pytest.raises(type(e), match=re.escape(str(e))):
-                _row_fsums(terms, live)
-        else:
-            assert [repr(v) for v in _row_fsums(terms, live).tolist()] == ["0.75", want, "0.125"]
-        dead = np.array([[True, True], [False, False], [True, False]])
-        assert _row_fsums(terms, dead).tolist() == [0.75, 0.0, 0.125]
+        with patch.object(PMF_MODULE, "ARRAY_MIN_CELLS", 0):  # the array form
+            try:
+                want = repr(math.fsum(row))
+            except (ValueError, OverflowError) as e:
+                with pytest.raises(type(e), match=re.escape(str(e))):
+                    _fsum(terms)
+            else:
+                assert [repr(v) for v in _fsum(terms).tolist()] == ["0.75", want, "0.125"]
+            dead = np.array([[True, True], [False, False], [True, False]])
+            assert _fsum(np.where(dead, terms, 0.0)).tolist() == [0.75, 0.0, 0.125]
 
 
 @st.composite
@@ -507,16 +515,18 @@ class TestFsum:
                 for a in ([-0.0, -0.0], [0.1, 0.2, 0.3], [1.0, 2.0**-53, 2.0**-60]):
                     assert repr(_fsum(np.array(a))) == repr(math.fsum(a))
 
-    def test_wide_rows_with_dead_cells_equal_fsum_of_the_live_cells(self):
-        rng = np.random.default_rng(30)
-        for rows, width in ((1, 3200), (2, 1600), (3, 700), (2, 3)):
-            terms = rng.random((rows, width)) * np.exp2(-rng.integers(0, 80, (rows, width)))
-            live = rng.random(terms.shape) < 0.8
-            live[-1] = False  # a row without live cells sums to 0.0
-            terms[~live] = rng.choice([math.nan, math.inf, -1e308], int((~live).sum()))
-            want = [math.fsum([v for v, k in zip(r, m) if k])
-                    for r, m in zip(terms.tolist(), live.tolist())]
-            assert [repr(v) for v in _row_fsums(terms, live).tolist()] == list(map(repr, want))
+    @pytest.mark.parametrize("shape", [(128, 3), (200, 3), (40, 40)])
+    def test_tall_rows_equal_per_row_fsum(self, shape):
+        """Arrays at least as tall as their rows of 3+ cells are wide, at the crossover and
+        above it, with zeros (signed), subnormals and exponents that round."""
+        rng = np.random.default_rng(shape[0] * shape[1])
+        a = rng.choice([-1.0, 1.0], shape) * rng.random(shape)
+        a *= np.exp2(rng.integers(-1074, 1000, shape))
+        a[rng.random(shape) < 0.2] = 0.0
+        a.flat[rng.integers(a.size, size=16)] = rng.choice(TERMS, 16)
+        a[-1] = [1.0, 2.0**-53] + [0.0] * (shape[1] - 2)  # a tie, kept at 1.0
+        assert a.size >= PMF_MODULE.ARRAY_MIN_CELLS
+        assert [repr(v) for v in _fsum(a).tolist()] == [repr(math.fsum(row)) for row in a.tolist()]
 
 
 class TestMixture:
