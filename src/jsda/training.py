@@ -21,6 +21,8 @@ picks, term-II bincount index, masks and gradient steps) is computed for
 every batch at once. A step sums each class's features with one weighted
 bincount and scatters the term-II gradient back with one row gather; the
 parameters are views of one flat vector, which each step updates in place.
+A run's step leaves out the terms of the principles it drops: such a term is
+not computed, so it reports 0.0 and cannot raise.
 
 Training alternates epochs of gradient steps with a pseudo-label refresh
 that re-estimates target labels, their distribution, and the black-box shift
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -187,17 +190,15 @@ class CentroidState:
 
 def features(m: ModelParams, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(features z, hidden activation a) of the extractor."""
-    a = np.tanh(xs @ m.w1.T + m.b1)
-    return a @ m.w2.T + m.b2, a
+    a = xs @ m.w1.T
+    np.tanh(np.add(a, m.b1, out=a), out=a)
+    z = a @ m.w2.T
+    z += m.b2
+    return z, a
 
 
 def class_logits(m: ModelParams, z: np.ndarray) -> np.ndarray:
     return z @ m.wh.T + m.bh
-
-
-def predict_labels(m: ModelParams, xs: np.ndarray) -> np.ndarray:
-    z, _ = features(m, xs)
-    return np.argmax(class_logits(m, z), axis=1)
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -259,9 +260,11 @@ def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
 
 
 def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
-          lam0: float, lam1: float) -> tuple[tuple, np.ndarray]:
+          lam0: float, lam1: float, cond: bool = True, adv: bool = True,
+          ) -> tuple[tuple, np.ndarray]:
     """One staged batch pair's loss breakdown, in ``_TERMS`` order, and its
-    committed centroids; the gradient goes into the arrays of ``g``."""
+    committed centroids; the gradient goes into the arrays of ``g``. Terms II
+    and III are computed only if ``cond`` and ``adv``; one left out reports 0.0."""
     xs, lab, scatter, pick, alpha, coef_s, ns, nt, present, seen, n_rows, step, active = batch
     z, a = features(m, xs)
     z_s = z[:ns]
@@ -269,7 +272,7 @@ def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
 
     # term I: reweighted cross-entropy on the source rows
     logits = class_logits(m, z_s)
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    shifted = logits - reduce(np.maximum, logits.T)[:, None]  # the row max
     e = np.exp(shifted)
     total = np.add.reduce(e, axis=1, keepdims=True)
     t1 = float(-(np.add.reduce(alpha * (shifted.ravel()[pick] - np.log(total).ravel())) / ns))
@@ -278,34 +281,37 @@ def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
     dlogits *= coef_s
     dz[:ns] += dlogits @ m.wh
 
-    # term II: weighted squared centroid distances; bincount adds each class's
-    # rows in order, so its sums equal the per-class z[idx].sum(axis=0)
-    sums = np.bincount(scatter, weights=z.ravel(), minlength=mu.size)
-    mean = sums.reshape(mu.shape) / n_rows
-    rho = CENTROID_MOMENTUM
-    mu = np.where(present, np.where(seen, rho * mu + (1.0 - rho) * mean, mean), mu)
-    diff = mu[:len(mu) // 2] - mu[len(mu) // 2:]
-    t2 = 0.0
-    for y, weight in active:
-        t2 += weight * float(diff[y] @ diff[y])
-    dz += np.take(step * np.concatenate((diff, diff)), lab, axis=0)
+    t2 = radv = 0.0
+    if cond:  # term II: weighted squared centroid distances; bincount adds each
+        # class's rows in order, so its sums equal the per-class z[idx].sum(axis=0)
+        sums = np.bincount(scatter, weights=z.ravel(), minlength=mu.size)
+        mean = sums.reshape(mu.shape) / n_rows
+        rho = CENTROID_MOMENTUM
+        mu = np.where(present, np.where(seen, rho * mu + (1.0 - rho) * mean, mean), mu)
+        diff = mu[:len(mu) // 2] - mu[len(mu) // 2:]
+        for y, weight in active:
+            t2 += weight * float(diff[y] @ diff[y])
+        dz += np.take(step * np.concatenate((diff, diff)), lab, axis=0)
 
-    # term III: adversarial estimate of the feature-marginal divergence
-    u = z @ m.wd + m.bd[0]
-    radv = float(-(np.add.reduce(_softplus(-u[:ns])) / ns)
-                 - np.add.reduce(_softplus(u[ns:])) / nt)
-    sig = _sigmoid(u)
-    coef = lam0 * np.concatenate(((1.0 - sig[:ns]) / ns, -sig[ns:] / nt))
-    dz += coef[:, None] * m.wd
+    if adv:  # term III: adversarial estimate of the feature-marginal divergence
+        u = z @ m.wd + m.bd[0]
+        radv = float(-(np.add.reduce(_softplus(-u[:ns])) / ns)
+                     - np.add.reduce(_softplus(u[ns:])) / nt)
+        sig = _sigmoid(u)
+        coef = lam0 * np.concatenate(((1.0 - sig[:ns]) / ns, -sig[ns:] / nt))
+        dz += coef[:, None] * m.wd
+        np.matmul(coef, z, out=g.wd)
+        np.add.reduce(coef, axis=0, keepdims=True, out=g.bd)
+    else:
+        g.wd[:] = g.bd[:] = 0.0
 
     da = (dz @ m.w2) * (1.0 - a * a)
     for grad_w, grad_b, d, inputs in ((g.w1, g.b1, da, xs), (g.w2, g.b2, dz, a),
                                       (g.wh, g.bh, dlogits, z_s)):
         np.matmul(d.T, inputs, out=grad_w)
         np.add.reduce(d, axis=0, out=grad_b)
-    np.matmul(coef, z, out=g.wd)
-    np.add.reduce(coef, axis=0, keepdims=True, out=g.bd)
-    return (t1, t2, radv, (radv + LOG4) / 2.0, t1 + lam1 * t2 + lam0 * radv), mu
+    js = (radv + LOG4) / 2.0 if adv else 0.0
+    return (t1, t2, radv, js, t1 + lam1 * t2 + lam0 * radv), mu
 
 
 def _descend(theta: np.ndarray, g: np.ndarray, grads: ModelParams, lr: float,
@@ -383,10 +389,16 @@ def pseudo_label_step(m: ModelParams, tgt_xs: np.ndarray,
     distribution (classes never predicted simply get zero mass there; the
     solver's least-squares/clipping policy absorbs them).
     """
-    labels = predict_labels(m, tgt_xs)
-    t_p = np.bincount(labels, minlength=n_classes) / labels.size
     hold_xs, hold_ys = holdout
-    cm = confusion_matrix(predict_labels(m, hold_xs), hold_ys, n_classes=n_classes)
+    z, _ = features(m, np.concatenate((tgt_xs, hold_xs)))  # one pass over both sets
+    logits, labels = class_logits(m, z), np.zeros(len(z), dtype=np.intp)
+    top = logits[:, 0]
+    for c, column in enumerate(logits.T[1:], 1):  # a strict > keeps the first of tied maxima
+        labels[column > top] = c
+        top = np.maximum(top, column)
+    labels, held = labels[:len(tgt_xs)], labels[len(tgt_xs):]
+    t_p = np.bincount(labels, minlength=n_classes) / labels.size
+    cm = confusion_matrix(held, hold_ys, n_classes=n_classes)
     alpha = bbsl_weights(cm, t_p)
     return labels, t_p / t_p.sum(), alpha
 
@@ -472,10 +484,10 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
 
     Each epoch runs gradient steps over shuffled batch pairs, then refreshes
     pseudo-labels, their distribution, and the shift weights. Principle
-    gating: without I the weights stay at one; without II the conditional
-    weight is zero; without III the adversarial weight is zero (the shared
-    warm-up schedule itself is not gated, so II keeps its weight in
-    III-less ablations).
+    gating: without I the weights stay at one; without II or III that term's
+    weight is zero, and the term is not computed, so it reports 0.0 and
+    cannot raise (the shared warm-up schedule itself is not gated, so II
+    keeps its weight in III-less ablations).
     """
     n_hold = max(2, int(HOLDOUT_FRACTION * cfg.n_source))
     src_all = sample(sc, "source", cfg.n_source + n_hold, stream=(cfg.seed,))
@@ -495,10 +507,11 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
 
     pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
     n_src, n_tgt, size = src_ys.size, len(tgt_all), cfg.batch_size
+    cond, adv = "II" in cfg.principles, "III" in cfg.principles
     for epoch in range(cfg.epochs):
         lam_sched = lambda_schedule(epoch / max(1, cfg.epochs - 1))
-        lam0 = lam_sched if "III" in cfg.principles else 0.0
-        lam1 = cfg.cond_multiplier * lam_sched if "II" in cfg.principles else 0.0
+        lam0 = lam_sched if adv else 0.0
+        lam1 = cfg.cond_multiplier * lam_sched if cond else 0.0
         w = alpha_hat if "I" in cfg.principles else unit
 
         rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
@@ -513,24 +526,23 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
             cfg.feature_width, w.alpha, st.counts, lam1, s_hat + t_p)
         breakdowns = []
         for batch in batches:
-            parts, st.mu = _step(m, grads, batch, st.mu, lam0, lam1)
+            parts, st.mu = _step(m, grads, batch, st.mu, lam0, lam1, cond, adv)
             _descend(theta, g, grads, cfg.learning_rate, parts)
             breakdowns.append(parts)
         mean = dict(zip(_TERMS, (float(np.mean(v)) for v in zip(*breakdowns))))
 
         pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt_all.xs, holdout, sc.n_classes)
-        # disabled principles report an exact zero in their trace column
-        js_est = mean["js_estimate"] if "III" in cfg.principles else 0.0
+        # disabled principles' terms are not computed and report an exact zero
         trace.weighted_source_loss.append(mean["weighted_source"])
-        trace.conditional_loss.append(mean["conditional"] if "II" in cfg.principles else 0.0)
-        trace.adversarial_js.append(js_est)
+        trace.conditional_loss.append(mean["conditional"])
+        trace.adversarial_js.append(mean["js_estimate"])
         trace.target_accuracy.append(float(np.mean(pseudo == tgt_all.ys)))
         trace.alpha_hat.append(alpha_hat.alpha)
         trace.alpha_used.append(w.alpha)
         trace.t_p_hat.append(t_p)
         trace.lam0.append(lam0)
         trace.lam1.append(lam1)
-        trace.kappa_ok.append(js_est <= KAPPA)
+        trace.kappa_ok.append(mean["js_estimate"] <= KAPPA)
         if cfg.track_feature_shift:
             z_s, _ = features(m, src_xs)
             z_t, _ = features(m, tgt_all.xs)
@@ -596,7 +608,7 @@ def ablate(sc: ShiftScenario, cfg: TrainConfig,
                    ("I", "II", "III")]
     rows = []
     for subset in subsets:
-        cfg_subset = replace(cfg, principles=frozenset(subset))
+        cfg_subset = replace(cfg, principles=subset)  # TrainConfig rejects a str
         runs = (replace(cfg_subset, seed=int(seed)) for seed in seeds)
         arr = np.array([run_training(sc, c).target_accuracy[-1] for c in runs])
         rows.append({"principles": cfg_subset.principles_label(),

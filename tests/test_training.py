@@ -472,13 +472,27 @@ class TestTrainingLoop:
          "30a14968cf53dc49c4d27578272afb790ace8d41338e8940055b807ebcead0e6"),
         ("n_source a multiple of batch_size",
          "1fd4ec50e845d88dbe8c9967977208f825ce5c4516c67e4007999dacb4374067"),
+        # ablation subsets: the step leaves out the terms their principles drop
+        ("criterion-8 seed 0 / III",
+         "894ad742cc0de548577a887dd2eab50d05064e20a6f9faeeb919d31621c37fd1"),
+        ("criterion-8 seed 0 / I+III",
+         "8dd4477df61c727a6de83ac644315f0b3987b1efe0bf496ad4b2c911699d06e4"),
+        ("criterion-8 seed 0 / I+II",
+         "ff8bf394ca7a3ad43d0603d94f0f902f93003bf51d514d8f45e03eea13b47bbc"),
+        ("3 classes, batch 4 / I+III",
+         "c62feeb35235520abcf5fc1171b38fc480c284873cfcc830cb53be68ef812d62"),
+        ("3 classes, batch 4 / I+II",
+         "e2f9973c34b0396aa391c50f3780fe4adf7c6209e82d37ae2290b03385eeacbe"),
     ])
     def test_trace_digest_pinned(self, case, digest):
         """sha256 over every TrainTrace field and the final parameters, pinned.
 
         Any change to the step's arithmetic, batch order or pseudo-label refresh
         moves some bit of the trace; a rewrite of the step must keep all of them.
+        A case named "... / I+II" trains that principle subset; the subset pins
+        were taken from a trainer that computed every term in every subset.
         """
+        case, _, subset = case.partition(" / ")
         sc = make_scenario("conditional-shift", rotation_deg=40.0, cov_scale=1.2,
                            source_label_marginal=(0.5, 0.5),
                            target_label_marginal=(0.8, 0.2), seed=3)
@@ -499,17 +513,26 @@ class TestTrainingLoop:
                                target_label_marginal=(0.7, 0.2, 0.1), seed=4)
             cfg = TrainConfig(epochs=6, n_source=120, n_target=90, batch_size=4,
                               seed=1)
+        if subset:
+            cfg = replace(cfg, principles=frozenset(subset.split("+")))
         assert trace_digest(run_training(sc, cfg)) == digest
 
+    @pytest.mark.parametrize("subset", ["III", "I+III", "I+II", "II+III", "I+II+III"])
     @pytest.mark.parametrize("epochs, batch_size", [(1, 128), (3, 50)])
-    def test_public_train_step_loop_equals_run_training(self, epochs, batch_size):
-        """run_training's epochs rebuilt from the public one-pair train_step, with ==."""
+    def test_public_train_step_loop_equals_run_training(self, epochs, batch_size, subset):
+        """run_training's epochs rebuilt from the public one-pair train_step, with ==.
+
+        The public step computes every term in every subset, with the dropped
+        principles' weights at zero; run_training leaves those terms out.
+        """
         from jsda.training import _STREAM_HOLDOUT, _STREAM_SHUFFLE, HOLDOUT_FRACTION
         sc = make_scenario("conditional-shift", rotation_deg=40.0, cov_scale=1.2,
                            source_label_marginal=(0.5, 0.5),
                            target_label_marginal=(0.8, 0.2), seed=3)
+        on = subset.split("+")
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size, n_source=300, n_target=240,
-                          cond_multiplier=12.0, learning_rate=0.03, seed=4)
+                          cond_multiplier=12.0, learning_rate=0.03, seed=4,
+                          principles=frozenset(on))
         n_hold = max(2, int(HOLDOUT_FRACTION * cfg.n_source))
         src = sample(sc, "source", cfg.n_source + n_hold, stream=(cfg.seed,))
         tgt = sample(sc, "target", cfg.n_target, stream=(cfg.seed,))
@@ -519,10 +542,13 @@ class TestTrainingLoop:
         m = init_models(cfg, n_classes=2)
         st = CentroidState.empty(2, cfg.feature_width)
         s_hat = np.bincount(ys, minlength=2) / ys.size
-        pseudo, t_p, w = pseudo_label_step(m, tgt.xs, holdout, 2)
+        pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt.xs, holdout, 2)
         losses = []
         for epoch in range(epochs):
             lam = lambda_schedule(epoch / max(1, epochs - 1))
+            lam0 = lam if "III" in on else 0.0
+            lam1 = cfg.cond_multiplier * lam if "II" in on else 0.0
+            w = alpha_hat if "I" in on else WeightVector(np.ones(2))
             rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE, epoch])
             order_s = rng.permutation(ys.size)
             order_t = np.take(rng.permutation(len(tgt)), np.arange(ys.size), mode="wrap")
@@ -530,14 +556,17 @@ class TestTrainingLoop:
             for lo in range(0, ys.size, batch_size):
                 s, t = order_s[lo:lo + batch_size], order_t[lo:lo + batch_size]
                 m, st, part = train_step(m, SampleBatch(xs[s], ys[s]),
-                                         SampleBatch(tgt.xs[t], pseudo[t]), st, w, lam,
-                                         cfg.cond_multiplier * lam, cfg.learning_rate,
-                                         class_weights)
-                parts.append(part["weighted_source"])
-            losses.append(float(np.mean(parts)))
-            pseudo, t_p, w = pseudo_label_step(m, tgt.xs, holdout, 2)
+                                         SampleBatch(tgt.xs[t], pseudo[t]), st, w, lam0,
+                                         lam1, cfg.learning_rate, class_weights)
+                parts.append(part)
+            mean = {key: float(np.mean([part[key] for part in parts])) for key in parts[0]}
+            losses.append((mean["weighted_source"],  # a dropped principle reports 0.0
+                           mean["conditional"] if "II" in on else 0.0,
+                           mean["js_estimate"] if "III" in on else 0.0))
+            pseudo, t_p, alpha_hat = pseudo_label_step(m, tgt.xs, holdout, 2)
         trace = run_training(sc, cfg)
-        assert trace.weighted_source_loss == losses
+        assert list(zip(trace.weighted_source_loss, trace.conditional_loss,
+                        trace.adversarial_js)) == losses
         for (name, got), (_, want) in zip(trace.model.param_items(), m.param_items()):
             assert got.tobytes() == want.tobytes(), name
 
@@ -616,3 +645,12 @@ class TestAblation:
         assert [r["principles"] for r in rows] == [
             "III", "I+III", "I+II", "II+III", "I+II+III"]
         assert all(0.0 <= r["mean_accuracy"] <= 1.0 for r in rows)
+
+    def test_a_string_subset_is_rejected_not_split_into_letters(self):
+        # frozenset("III") is {"I"}: a subset given as one string must raise
+        sc = make_scenario("label-shift", seed=3)
+        cfg = TrainConfig(epochs=1, n_source=40, n_target=40, seed=0)
+        with pytest.raises(TrainingError, match="principles"):
+            ablate(sc, cfg, subsets=["III", "II"], seeds=(0,))
+        rows = ablate(sc, cfg, subsets=[["III"], {"II"}], seeds=(0,))
+        assert [r["principles"] for r in rows] == ["III", "II"]
