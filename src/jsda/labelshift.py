@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .pmf import _freeze
-from .scenarios import midpoint_classifier, sample
+from .scenarios import _chunks, midpoint_classifier
 
 CONDITION_LIMIT = 1e8
 RESIDUAL_TOL = 1e-6
@@ -135,24 +135,26 @@ def _true_label_ratio(scenario) -> np.ndarray:
 def estimate_scenario_weights(scenario, n: int, seed: int = 0) -> dict:
     """End-to-end weight recovery on a synthetic scenario.
 
-    Draws n source and n target samples, classifies both with the scenario's
-    midpoint classifier, builds the source confusion matrix and the target
-    prediction marginal, and solves for the weights. Returns the true ratio,
+    Draws n source and n target samples chunk by chunk, as ``sample`` draws
+    them, classifies each chunk with the scenario's midpoint classifier and
+    keeps only the counts: source (prediction, label) pairs and target
+    predictions, so memory does not grow with n. Solves the counts' confusion
+    matrix and prediction marginal for the weights. Returns the true ratio,
     the estimate, the sup-norm error, and the classifier's source accuracy.
     """
     w_vec, b = midpoint_classifier(scenario)
-    src = sample(scenario, "source", n, stream=(seed, 0))
-    tgt = sample(scenario, "target", n, stream=(seed, 1))
-    src_preds = (src.xs @ w_vec + b > 0).astype(int)
-    tgt_preds = (tgt.xs @ w_vec + b > 0).astype(int)
-    cm = confusion_matrix(src_preds, src.ys, n_classes=scenario.n_classes)
-    t_pred = np.bincount(tgt_preds, minlength=scenario.n_classes) / n
-    est = bbsl_weights(cm, t_pred)
+    k = scenario.n_classes
+    pairs, t_counts = np.zeros((k, k), dtype=np.int64), np.zeros(k, dtype=np.int64)
+    for xs, ys in _chunks(scenario, "source", n, (seed, 0)):
+        pairs += np.bincount((xs @ w_vec + b > 0) * k + ys, minlength=k * k).reshape(k, k)
+    for xs, _ in _chunks(scenario, "target", n, (seed, 1)):
+        t_counts += np.bincount(xs @ w_vec + b > 0, minlength=k)
+    est = bbsl_weights(ConfusionMatrix(pairs / n), t_counts / n)
     truth = _true_label_ratio(scenario)
     return {
         "true_alpha": truth,
         "estimated_alpha": est.alpha,
         "sup_error": float(np.max(np.abs(est.alpha - truth))),
-        "source_accuracy": float(np.mean(src_preds == src.ys)),
+        "source_accuracy": float(np.trace(pairs) / n),
         "method": est.method,
     }

@@ -21,8 +21,8 @@ picks, term-II bincount index, masks and gradient steps) is computed for
 every batch at once. A step sums each class's features with one weighted
 bincount and scatters the term-II gradient back with one row gather; the
 parameters are views of one flat vector, which each step updates in place.
-A run's step leaves out the terms of the principles it drops: such a term is
-not computed, so it reports 0.0 and cannot raise.
+A run leaves out the terms (and, for II, the staging) of the principles it
+drops: such a term is not computed, so it reports 0.0 and cannot raise.
 
 Training alternates epochs of gradient steps with a pseudo-label refresh
 that re-estimates target labels, their distribution, and the black-box shift
@@ -223,16 +223,28 @@ def _flat(m: ModelParams, flat: np.ndarray | None = None) -> tuple[np.ndarray, M
 
 def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
            width: int, alpha: np.ndarray, counts: np.ndarray, lam1: float,
-           class_weights: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+           class_weights: np.ndarray, cond: bool = True) -> tuple[list[tuple], np.ndarray]:
     """Each batch pair's step inputs that depend only on labels, and the final counts.
 
     ``xs`` and ``lab`` hold batch b's ``sizes[b, 0]`` source rows, then its
     ``sizes[b, 1]`` target rows, batch by batch; ``counts`` are the centroid counts
-    before the first batch."""
+    before the first batch. A batch's term-II inputs come last, as one tuple;
+    without ``cond`` they are None and the counts are returned as given."""
     if lab.size and (np.minimum.reduce(lab) < 0 or np.maximum.reduce(lab) >= n_classes):
         raise TrainingError(f"labels must lie in [0, {n_classes})")
     k, ns, nt, per_part = 2 * n_classes, sizes[:, 0], sizes[:, 1], sizes.ravel()
     part = np.repeat(np.arange(per_part.size), per_part)  # 2b: batch b's source rows
+    ys = lab[part & 1 == 0]
+    first = np.cumsum(ns) - ns  # each batch's first source row
+    pick = (np.arange(ys.size) - np.repeat(first, ns)) * n_classes + ys  # [row, y] of the logits
+    alpha = alpha[ys]
+    coef = (alpha / np.repeat(ns, ns))[:, None]
+    rows, src = np.cumsum(np.append(0, ns + nt)).tolist(), [*first.tolist(), ys.size]
+    by_source = [[arr[a:b] for a, b in zip(src, src[1:])] for arr in (pick, alpha, coef)]
+    staged = list(zip([xs[a:b] for a, b in zip(rows, rows[1:])], *by_source,
+                      ns.tolist(), nt.tolist()))
+    if not cond:
+        return [(*batch, None) for batch in staged], counts
     lab = lab + n_classes * (part & 1)  # row y: source class y; row C + y: target class y
     n_batch = np.bincount(part // 2 * k + lab, minlength=len(sizes) * k).reshape(-1, k, 1)
     present = n_batch > 0
@@ -243,20 +255,14 @@ def _stage(xs: np.ndarray, lab: np.ndarray, sizes: np.ndarray, n_classes: int,
     scale = 2.0 * lam1 * np.where(active, class_weights, 0.0)
     n_rows = np.maximum(n_batch, 1)
     step = np.concatenate((scale, -scale), axis=1)[..., None] * gain / n_rows
-    ys = lab[part & 1 == 0]
-    first = np.cumsum(ns) - ns  # each batch's first source row
-    pick = (np.arange(ys.size) - np.repeat(first, ns)) * n_classes + ys  # [row, y] of the logits
-    alpha = alpha[ys]
-    coef = (alpha / np.repeat(ns, ns))[:, None]
     scatter = np.take(np.arange(k * width).reshape(k, width), lab, axis=0).ravel()
-    rows, src = np.cumsum(np.append(0, ns + nt)).tolist(), [*first.tolist(), ys.size]
     by_row = [[arr[a * n:b * n] for a, b in zip(rows, rows[1:])]
-              for arr, n in ((xs, 1), (lab, 1), (scatter, width))]
-    by_source = [[arr[a:b] for a, b in zip(src, src[1:])] for arr in (pick, alpha, coef)]
+              for arr, n in ((lab, 1), (scatter, width))]
     actives = [[(y, class_weights[y]) for y, on in enumerate(row) if on]
                for row in active.tolist()]
-    return (list(zip(*by_row, *by_source, ns.tolist(), nt.tolist(), present, seen, n_rows,
-                     step, actives)), counts + np.add.reduce(present[..., 0], axis=0))
+    two = zip(*by_row, present, seen, n_rows, step, actives)
+    return ([(*batch, inputs) for batch, inputs in zip(staged, two)],
+            counts + np.add.reduce(present[..., 0], axis=0))
 
 
 def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
@@ -265,7 +271,7 @@ def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
     """One staged batch pair's loss breakdown, in ``_TERMS`` order, and its
     committed centroids; the gradient goes into the arrays of ``g``. Terms II
     and III are computed only if ``cond`` and ``adv``; one left out reports 0.0."""
-    xs, lab, scatter, pick, alpha, coef_s, ns, nt, present, seen, n_rows, step, active = batch
+    xs, pick, alpha, coef_s, ns, nt, two = batch
     z, a = features(m, xs)
     z_s = z[:ns]
     dz = np.zeros(z.shape)
@@ -284,6 +290,7 @@ def _step(m: ModelParams, g: ModelParams, batch: tuple, mu: np.ndarray,
     t2 = radv = 0.0
     if cond:  # term II: weighted squared centroid distances; bincount adds each
         # class's rows in order, so its sums equal the per-class z[idx].sum(axis=0)
+        lab, scatter, present, seen, n_rows, step, active = two
         sums = np.bincount(scatter, weights=z.ravel(), minlength=mu.size)
         mean = sums.reshape(mu.shape) / n_rows
         rho = CENTROID_MOMENTUM
@@ -523,7 +530,7 @@ def run_training(sc: ShiftScenario, cfg: TrainConfig) -> TrainTrace:
         batches, st.counts = _stage(
             np.take(all_xs, rows, axis=0), np.concatenate((src_ys, pseudo))[rows],
             np.minimum(size, n_src - starts).repeat(2).reshape(-1, 2), sc.n_classes,
-            cfg.feature_width, w.alpha, st.counts, lam1, s_hat + t_p)
+            cfg.feature_width, w.alpha, st.counts, lam1, s_hat + t_p, cond)
         breakdowns = []
         for batch in batches:
             parts, st.mu = _step(m, grads, batch, st.mu, lam0, lam1, cond, adv)

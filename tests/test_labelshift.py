@@ -1,5 +1,7 @@
 """BBSL weight estimation and reweighted risk tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,29 @@ from jsda import (
     bbsl_weights,
     confusion_matrix,
     estimate_scenario_weights,
+    labelshift,
     make_scenario,
+    midpoint_classifier,
     reweighted_risk,
+    sample,
 )
-from jsda.labelshift import LabelShiftError
+from jsda.labelshift import LabelShiftError, _true_label_ratio
+from jsda.scenarios import _CHUNK_ROWS, ScenarioError
+
+
+def whole_sample_recovery(sc, n, seed):
+    """estimate_scenario_weights as whole samples: the reference for its counts."""
+    w, b = midpoint_classifier(sc)
+    src = sample(sc, "source", n, stream=(seed, 0))
+    tgt = sample(sc, "target", n, stream=(seed, 1))
+    src_preds = (src.xs @ w + b > 0).astype(int)
+    tgt_preds = (tgt.xs @ w + b > 0).astype(int)
+    cm = confusion_matrix(src_preds, src.ys, n_classes=sc.n_classes)
+    est = bbsl_weights(cm, np.bincount(tgt_preds, minlength=sc.n_classes) / n)
+    truth = _true_label_ratio(sc)
+    return {"true_alpha": truth, "estimated_alpha": est.alpha,
+            "sup_error": float(np.max(np.abs(est.alpha - truth))),
+            "source_accuracy": float(np.mean(src_preds == src.ys)), "method": est.method}
 
 
 class TestConfusionMatrix:
@@ -162,3 +183,41 @@ class TestScenarioRecovery:
         errs = [estimate_scenario_weights(sc, n=10_000, seed=s)["sup_error"]
                 for s in range(5)]
         assert max(errs) < 0.05
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_counts_equal_the_whole_samples(self, seed):
+        rng = np.random.default_rng([seed, 33])
+        a, b = rng.uniform(0.1, 0.9, 2)
+        kind = ("label-shift", "conditional-shift")[seed % 2]
+        sc = make_scenario(kind, source_label_marginal=(a, 1 - a),
+                           target_label_marginal=(b, 1 - b), cov_scale=rng.uniform(0.3, 4.0),
+                           seed=int(rng.integers(1000)),
+                           **({"rotation_deg": rng.uniform(0, 180)} if seed % 2 else {}))
+        n = max(1, _CHUNK_ROWS * int(rng.integers(0, 4)) + int(rng.integers(-1, 2)))
+        got = estimate_scenario_weights(sc, n, seed=seed)
+        want = whole_sample_recovery(sc, n, seed)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert (np.array_equal(got[key], value) if isinstance(value, np.ndarray)
+                    else got[key] == value), key
+
+    def test_memory_does_not_grow_with_n(self):
+        sc = make_scenario("label-shift", source_label_marginal=(0.5, 0.5),
+                           target_label_marginal=(0.8, 0.2), seed=0)
+        estimate_scenario_weights(sc, n=1_000)  # lazy imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            estimate_scenario_weights(sc, n=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # whole samples of 200,000 rows peak at about 17 MiB
+
+    def test_three_classes_raise_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(labelshift, "_chunks", no_draw)
+        sc = make_scenario("label-shift", n_classes=3)
+        with pytest.raises(ScenarioError, match="^midpoint classifier needs exactly two classes$"):
+            estimate_scenario_weights(sc, n=10_000)

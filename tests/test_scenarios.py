@@ -19,8 +19,9 @@ from jsda import (
     midpoint_classifier,
     sample,
 )
-from jsda.scenarios import (SampleBatch, ScenarioError, _grid_centers, _mixture_cell_mass,
-                            bounding_box)
+from jsda.scenarios import (_CHUNK_ROWS, _DOMAIN_CODE, _STREAM_FEATURES, _STREAM_LABELS,
+                            SampleBatch, ScenarioError, _chunks, _grid_centers,
+                            _mixture_cell_mass, bounding_box)
 
 
 def random_cov_scenario(rng):
@@ -214,7 +215,41 @@ class TestConstruction:
         assert np.allclose(back.source_label_marginal, sc.source_label_marginal)
 
 
+def unchunked_sample(sc, domain, n, stream=()):
+    """sample's formula as one draw of all n rows: the reference for its chunks."""
+    means, covs, marg = sc.domain_params(domain)
+    base = [sc.seed, _DOMAIN_CODE[domain], n, *map(int, stream)]
+    ys = np.random.default_rng(base + [_STREAM_LABELS]).choice(sc.n_classes, size=n, p=marg)
+    noise = np.random.default_rng(base + [_STREAM_FEATURES]).standard_normal((n, 2))
+    xs = np.empty((n, 2))
+    for y in range(sc.n_classes):
+        mask = ys == y
+        if np.any(mask):
+            xs[mask] = means[y] + noise[mask] @ np.linalg.cholesky(covs[y]).T
+    return xs, ys
+
+
 class TestSampling:
+    @pytest.mark.parametrize("n", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                   3 * _CHUNK_ROWS + 17])
+    @pytest.mark.parametrize("sc", [
+        make_scenario("label-shift", source_label_marginal=(0.3, 0.7),
+                      target_label_marginal=(0.8, 0.2), seed=5),
+        make_scenario("conditional-shift", rotation_deg=40.0, cov_scale=1.2, seed=3),
+        make_scenario("cofeature", feature_shift=(1.0, -0.5), seed=7),
+        make_scenario("label-shift", n_classes=3, source_label_marginal=(0.4, 0.4, 0.2),
+                      target_label_marginal=(0.7, 0.2, 0.1), seed=4),
+        make_scenario("open-set", n=3, alpha=1 / 3, seed=2),  # classes of zero mass
+    ], ids=["label-shift", "conditional-shift", "cofeature", "3 classes", "open-set"])
+    def test_chunks_change_no_bit(self, sc, n):
+        for domain, stream in (("source", ()), ("target", (4, 1))):
+            batch = sample(sc, domain, n, stream=stream)
+            xs, ys = unchunked_sample(sc, domain, n, stream)
+            assert batch.xs.tobytes() == xs.tobytes() and batch.ys.tobytes() == ys.tobytes()
+            full, rest = divmod(n, _CHUNK_ROWS)
+            sizes = [len(chunk_ys) for _, chunk_ys in _chunks(sc, domain, n, stream)]
+            assert sizes == [_CHUNK_ROWS] * full + [rest] * (rest > 0)
+
     def test_deterministic_under_seed(self):
         sc = make_scenario("label-shift", target_label_marginal=(0.8, 0.2), seed=3)
         a = sample(sc, "source", 64)
@@ -244,10 +279,11 @@ class TestSampling:
         with pytest.raises(ScenarioError, match="^n must be >= 1, not 0$"):
             sample(sc, "source", 0)
 
-    def test_n_must_be_an_integer(self):
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_n_must_be_an_integer(self, n):
         sc = make_scenario("conditional-shift")
-        with pytest.raises(ScenarioError, match="^n must be an integer, not 2.5$"):
-            sample(sc, "source", 2.5)
+        with pytest.raises(ScenarioError, match=f"^n must be an integer, not {n}$"):
+            sample(sc, "source", n)
 
 
 class TestSampleBatch:
