@@ -60,7 +60,8 @@ class BoundInputError(ValueError):
 
 
 def _check_nonnegative(value: float, what: str) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    if (type(value) is not float  # before the slower ABC check; a bool is not a float
+            and (isinstance(value, bool) or not isinstance(value, numbers.Real))
             or not 0.0 <= value < math.inf):  # NaN fails too
         raise BoundInputError(f"{what} must be finite and >= 0")
 

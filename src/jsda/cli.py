@@ -27,9 +27,7 @@ from .training import TrainConfig, ablate, run_training
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
+    if isinstance(v, float):  # inf, -inf and nan too
         return f"{v:.6g}"
     return str(v)
 

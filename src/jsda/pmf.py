@@ -31,7 +31,10 @@ Conventions used throughout the package:
   numpy 2.4.6's AVX-512 ``np.log`` missed ``math.log`` by an ulp on 28,060 of
   8,000,000 uniform inputs in (0, 2), and ``np.log2`` missed ``math.log2`` on
   5,039 of 2,000,000, so base-2 logs stay ``math.log2`` on each Python float;
-- ``Pmf(...)`` validates and is the only public constructor. The unchecked
+- ``Pmf(...)`` validates and is the only public constructor. ``Pmf`` and ``JointPmf``
+  check their masses by one helper, ``_check_mass``, and ``LossTable`` its values in the
+  same two forms: below ARRAY_MIN_CELLS cells one list feeds every test (numpy's fixed cost
+  per call is most of the time there), from it on whole arrays. The unchecked
   ``Pmf._unchecked`` is used only on arrays derived from objects that were
   already validated (marginals, aligned supports, sum-checked conditional
   rows), where the checks could not fail.
@@ -69,6 +72,21 @@ class DistributionError(ValueError):
 def _check_total(total: float, what: str = "probabilities sum") -> None:
     if not abs(total - 1.0) <= VALIDITY_TOL:  # NaN fails too
         raise DistributionError(f"{what} to {total!r}, not 1")
+
+
+def _check_mass(a: np.ndarray, noun: str, what: str) -> None:
+    """``negative {noun}`` if an entry of ``a`` is below zero (NaN and -0.0 are not), then
+    ``_check_total`` of its exact sum, which is inf where the sum overflows. Below
+    ARRAY_MIN_CELLS one list feeds both tests, as numpy's fixed cost per call dominates."""
+    small = a.size < ARRAY_MIN_CELLS
+    values = a.ravel().tolist() if small else a.ravel()
+    if any(map((0.0).__gt__, values)) if small else (values < 0).any():
+        raise DistributionError(f"negative {noun}")
+    try:
+        total = math.fsum(values) if small else _fsum(values)
+    except OverflowError:  # of nonnegative terms, so the sum is beyond the float range
+        total = math.inf
+    _check_total(total, what)
 
 
 def _fsum(a: np.ndarray):
@@ -140,9 +158,7 @@ class Pmf:
             raise DistributionError("atoms and probs must be 1-D and aligned")
         if len(set(self.atoms)) != len(self.atoms):
             raise DistributionError("support atoms must be unique")
-        if (self.probs < 0).any():
-            raise DistributionError("negative probability mass")
-        _check_total(_fsum(self.probs))
+        _check_mass(self.probs, "probability mass", "probabilities sum")
 
     @classmethod
     def _unchecked(cls, atoms: tuple, probs: np.ndarray) -> "Pmf":
@@ -195,9 +211,7 @@ class JointPmf:
                 f"mass grid {self.mass.shape} does not match supports ({nx},{ny})")
         if len(set(self.x_atoms)) != nx or len(set(self.y_atoms)) != ny:
             raise DistributionError("support atoms must be unique")
-        if (self.mass < 0).any():
-            raise DistributionError("negative joint mass")
-        _check_total(_fsum(self.mass.ravel()), "joint mass sums")
+        _check_mass(self.mass, "joint mass", "joint mass sums")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -233,9 +247,13 @@ class LossTable:
         object.__setattr__(self, "values", _freeze(self.values))
         if self.values.ndim != 2:
             raise DistributionError("loss values must form an |X| x |Y| grid")
-        if not np.all(np.isfinite(self.values)):
+        if not self.values.size:
+            raise DistributionError(f"loss grid {self.values.shape} is empty")
+        small = self.values.size < ARRAY_MIN_CELLS  # one list feeds both, as in _check_mass
+        values = self.values.ravel().tolist() if small else self.values
+        if not (all(map(math.isfinite, values)) if small else np.isfinite(values).all()):
             raise DistributionError("loss values must be finite")
-        g = float(self.values.max() - self.values.min())
+        g = max(values) - min(values) if small else float(values.max() - values.min())
         object.__setattr__(self, "range_g", g)
 
     @property

@@ -12,6 +12,7 @@ import hashlib
 import importlib
 import inspect
 import math
+from fractions import Fraction
 from unittest.mock import patch
 
 import numpy as np
@@ -74,10 +75,22 @@ class TestReportInvariants:
             TailParams("subgaussian", sigma=-1.0)
         with pytest.raises(BoundInputError):
             TailParams("nonsense")  # type: ignore[arg-type]
-        for name in ("g", "sigma", "a"):
-            for bad in (math.nan, -0.1, math.inf, -math.inf, True, "1.0"):
-                with pytest.raises(BoundInputError, match=f"{name} must be finite and >= 0"):
-                    TailParams(**{name: bad})
+
+    @pytest.mark.parametrize("name, what", [("g", "loss range g"), ("sigma", "sigma"), ("a", "a")])
+    @pytest.mark.parametrize("value, accepted", [
+        (-1.0, False), (math.nan, False), (math.inf, False), (-math.inf, False), (-0.0, True),
+        (True, False), (False, False), ("1.0", False), (2, True), (Fraction(1, 2), True),
+        (np.float64(0.5), True)],
+        ids=["negative", "nan", "inf", "minus-inf", "negative-zero", "true", "false", "str",
+             "int", "fraction", "numpy-float"])
+    def test_tail_constant_contract(self, name, what, value, accepted):
+        if accepted:
+            assert getattr(TailParams(**{name: value}), name) is value
+            return
+        with pytest.raises(BoundInputError) as exc:
+            TailParams(**{name: value})
+        assert type(exc.value) is BoundInputError
+        assert str(exc.value) == f"{what} must be finite and >= 0"
 
 
 class TestJointUpper:

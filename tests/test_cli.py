@@ -408,3 +408,10 @@ class TestWriteReport:
         path = tmp_path / "r.csv"
         write_report([{"lo": float("-inf"), "hi": float("inf")}], "csv", str(path))
         assert path.read_text().splitlines()[1] == "-inf,inf"
+
+    @pytest.mark.parametrize("value, token", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (-0.0, "-0"), (1e-7, "1e-07"),
+        (True, "true"), (False, "false"), (12, "12"), ("joint_upper", "joint_upper")],
+        ids=["inf", "minus-inf", "nan", "negative-zero", "1e-7", "true", "false", "int", "str"])
+    def test_cell_tokens(self, value, token):
+        assert cli._fmt(value) == token

@@ -109,6 +109,64 @@ class TestValidation:
         assert not l.is_zero_one
         assert LossTable(np.array([[0.0, 1.0], [1.0, 0.0]])).is_zero_one
 
+    @pytest.mark.parametrize("n", [3, PMF_MODULE.ARRAY_MIN_CELLS], ids=["3-cells", "crossover-cells"])
+    def test_flat_loss_range_is_positive_zero(self, n):
+        for cells in (np.full(n, -0.0), np.resize([0.0, -0.0], n), np.resize([-0.0, 0.0], n),
+                      np.full(n, 2.5)):
+            assert repr(LossTable(cells.reshape(-1, 3)).range_g) == "0.0"
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0), (0, 0)], ids=["0x2", "2x0", "0x0"])
+    def test_empty_loss_grid_rejected(self, shape):
+        with pytest.raises(DistributionError) as exc:
+            LossTable(np.zeros(shape))
+        assert type(exc.value) is DistributionError
+        assert str(exc.value) == f"loss grid {shape} is empty"
+
+
+# Each case sets (index, value) pairs in the cells [0.5, 0.5, 0, ...] and gives the full
+# message of Pmf, JointPmf and LossTable over them, or None where they are accepted. The
+# (n/3, 3) grids of JointPmf and LossTable keep the cells in this order.
+ERROR_CONTRACT = {
+    "negative": (((2, -0.25),), "negative probability mass", "negative joint mass", None),
+    "nan": (((2, math.nan),), "probabilities sum to nan, not 1", "joint mass sums to nan, not 1",
+            "loss values must be finite"),
+    "nan-before-negative": (((0, math.nan), (2, -0.25)), "negative probability mass",
+                            "negative joint mass", "loss values must be finite"),
+    "negative-zeros": (((slice(2, None), -0.0),), None, None, None),
+    "inf": (((2, math.inf),), "probabilities sum to inf, not 1", "joint mass sums to inf, not 1",
+            "loss values must be finite"),
+    "minus-inf": (((2, -math.inf),), "negative probability mass", "negative joint mass",
+                  "loss values must be finite"),
+    "total-2e-12-off": (((0, 0.5 + 2e-12),), "probabilities sum to 1.000000000002, not 1",
+                        "joint mass sums to 1.000000000002, not 1", None),
+    "overflowing-total": (((0, 1e308), (1, 1e308)), "probabilities sum to inf, not 1",
+                          "joint mass sums to inf, not 1", None),
+}
+
+
+@pytest.mark.parametrize("n", [3, PMF_MODULE.ARRAY_MIN_CELLS], ids=["3-cells", "crossover-cells"])
+@pytest.mark.parametrize("case", ERROR_CONTRACT)
+def test_error_contract(n, case):
+    edit, *messages = ERROR_CONTRACT[case]
+    cells = np.zeros(n)
+    cells[:2] = 0.5
+    for at, value in edit:
+        cells[at] = value
+    grid = cells.reshape(-1, 3)
+    makes = (lambda: Pmf(tuple(range(n)), cells),
+             lambda: JointPmf(tuple(range(len(grid))), (0, 1, 2), grid),
+             lambda: LossTable(grid))
+    for make, message in zip(makes, messages):
+        if message is None:
+            made = make()
+            if isinstance(made, LossTable):  # the list's range has the array's bits
+                assert repr(made.range_g) == repr(float(grid.max() - grid.min()))
+            continue
+        with pytest.raises(DistributionError) as exc:
+            make()
+        assert type(exc.value) is DistributionError
+        assert str(exc.value) == message
+
 
 class TestMarginals:
     def test_uniform_2x2(self):
