@@ -22,7 +22,10 @@ marginal JS reads the mass grids; its readers call ``_conditional_terms``
 first, for the support check. The memos key on the ordered pair of joints
 (or a joint and a loss table), which compare by identity and are read-only,
 so a term of (t, s) is never taken for (s, t) and cannot go stale; they hold
-at most two entries, and a raising call is not cached.
+at most two entries, and a raising call is not cached. ``scenarios.discretize``
+memoises each scenario's grid the same way, keyed on the scenario (which also
+hashes by identity), so a discretized pair holds one ``x_atoms`` object and the
+support checks compare it item by item on identity.
 
 A caution on the intrinsic-error transfer bound: the inequality as
 implemented is not universally valid. Near deterministic conditionals the

@@ -80,7 +80,10 @@ def _check_mass(a: np.ndarray, noun: str, what: str) -> None:
     ARRAY_MIN_CELLS one list feeds both tests, as numpy's fixed cost per call dominates."""
     small = a.size < ARRAY_MIN_CELLS
     values = a.ravel().tolist() if small else a.ravel()
-    if any(map((0.0).__gt__, values)) if small else (values < 0).any():
+    # ``min`` is NaN only where the first value is, else the least non-NaN value, so its
+    # test is exact and skips the slower scan of each cell when nothing is negative
+    if ((not min(values, default=0.0) >= 0.0 and any(map((0.0).__gt__, values))) if small
+            else (values < 0).any()):
         raise DistributionError(f"negative {noun}")
     try:
         total = math.fsum(values) if small else _fsum(values)
@@ -236,8 +239,8 @@ class JointPmf:
 class LossTable:
     """Per-(x, y) loss values with their recorded range.
 
-    ``range_g`` is always max(values) - min(values); zero-one tables are
-    detected exactly (every entry in {0, 1}).
+    ``range_g`` is always max(values) - min(values), and a range that overflows
+    is an error; zero-one tables are detected exactly (every entry in {0, 1}).
     """
 
     values: np.ndarray
@@ -253,8 +256,11 @@ class LossTable:
         values = self.values.ravel().tolist() if small else self.values
         if not (all(map(math.isfinite, values)) if small else np.isfinite(values).all()):
             raise DistributionError("loss values must be finite")
-        g = max(values) - min(values) if small else float(values.max() - values.min())
-        object.__setattr__(self, "range_g", g)
+        # Python floats on both paths: the subtraction has numpy's bits and no overflow warning
+        hi, lo = (max(values), min(values)) if small else (float(values.max()), float(values.min()))
+        if hi - lo == math.inf:
+            raise DistributionError(f"loss range {hi!r} - {lo!r} overflows")
+        object.__setattr__(self, "range_g", hi - lo)
 
     @property
     def is_zero_one(self) -> bool:

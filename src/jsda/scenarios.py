@@ -26,6 +26,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -82,8 +83,15 @@ def _json_object(raw, known, what: str, required=()) -> dict:
     return raw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftScenario:
+    """Both domains' class means, covariances and label marginals, frozen read-only.
+
+    A scenario compares and hashes by identity, as ``Pmf`` and ``JointPmf`` do: its
+    arrays cannot change, so one object always describes one grid, which lets
+    ``discretize`` build that grid once for both domains.
+    """
+
     kind: str
     n_classes: int
     source_means: np.ndarray
@@ -329,22 +337,45 @@ def _mixture_cell_mass(sc: ShiftScenario, domain: Domain,
     return np.stack(cols, axis=1)
 
 
+# The memos below key on the scenario, which hashes by identity and whose arrays are
+# read-only, so an entry cannot go stale (an ``id`` key could, once the id is reused).
+# A discretized pair calls them for one scenario in a row; they hold one grid and two
+# domains' masses, and a raising call is not cached.
+
+@lru_cache(maxsize=1)
+def _shared_grid(sc: ShiftScenario, grid: int) -> tuple[np.ndarray, tuple]:
+    """(read-only cell centres, their ``x_atoms`` tuple): one object for both domains."""
+    centers = _grid_centers(sc, grid)
+    centers.setflags(write=False)
+    return centers, tuple(zip(*centers.T.tolist()))
+
+
+@lru_cache(maxsize=2)
+def _cell_mass(sc: ShiftScenario, domain: Domain, grid: int) -> np.ndarray:
+    """Read-only ``_mixture_cell_mass`` on the shared grid."""
+    mass = _mixture_cell_mass(sc, domain, _shared_grid(sc, grid)[0])
+    mass.setflags(write=False)
+    return mass
+
+
 def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
     """Exact finite joint over grid-cell centers x labels.
 
     Cell mass is the class-mixture density at the cell center times the cell
-    area (midpoint rule), renormalized to total one. Both domains share the
-    same grid, so the returned joints are directly comparable. For cofeature
+    area (midpoint rule), renormalized to total one. Both domains share one
+    grid, built once per (scenario, grid): their joints hold the same centres
+    and the same ``x_atoms`` object, so they are directly comparable and the
+    verifiers' support checks pass item by item on identity. For cofeature
     scenarios the target joint is assembled as T(x) * S(y|x), which keeps the
-    label-given-feature conditionals exactly equal across domains.
+    label-given-feature conditionals exactly equal across domains; it reuses
+    the source's cell masses.
     """
     _check_integer(grid, "grid", 2)
-    centers = _grid_centers(sc, grid)
-    x_atoms = tuple(zip(*centers.T.tolist()))
-    y_atoms = tuple(range(sc.n_classes))
+    _, x_atoms = _shared_grid(sc, grid)
+    sc.domain_params(domain)  # an unknown domain raises before the memo hashes it
     if sc.kind == "cofeature" and domain == "target":
-        source_mass = _mixture_cell_mass(sc, "source", centers)
-        target_feature = _mixture_cell_mass(sc, "target", centers).sum(axis=1)
+        source_mass = _cell_mass(sc, "source", grid)
+        target_feature = _cell_mass(sc, "target", grid).sum(axis=1)
         s_x = source_mass.sum(axis=1)
         if np.any(s_x <= 0.0):
             raise ScenarioError(
@@ -353,9 +384,9 @@ def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
         cond = source_mass / s_x[:, None]
         mass = target_feature[:, None] * cond
     else:
-        mass = _mixture_cell_mass(sc, domain, centers)
+        mass = _cell_mass(sc, domain, grid)
     total = _fsum(mass.ravel())
-    return JointPmf(x_atoms, y_atoms, mass / total)
+    return JointPmf(x_atoms, tuple(range(sc.n_classes)), mass / total)
 
 
 def midpoint_classifier(sc: ShiftScenario) -> tuple[np.ndarray, float]:

@@ -845,3 +845,17 @@ class TestPairTerms:
         t = JointPmf((0, 1), (0, 1), np.array([[0.25, 0.25], [0.25, 0.25]]))
         for call, fresh in zip(_grid_verifiers(s, t, l), _grid_verifiers(_copy(s), _copy(t), l)):
             assert _outcome(call) == _outcome(fresh)
+
+    def test_grids_of_two_scenarios_are_rejected(self):
+        """Each scenario's grid is its own: two scenarios' joints do not share a support,
+        and the verifiers say so with the messages of any support mismatch."""
+        s, _, l = _grid_pair("conditional-shift", grid=8)
+        other = discretize(make_scenario("conditional-shift", rotation_deg=60.0), "target", 8)
+        assert s.x_atoms != other.x_atoms
+        for call in (lambda: decomposed_upper_bound(s, other, l, axis="x"),
+                     lambda: decomposed_upper_bound(s, other, l, axis="y")):
+            with pytest.raises(BoundInputError,
+                               match="^conditional terms require identical supports$"):
+                call()
+        with pytest.raises(DistributionError, match="^joint divergence requires identical supports$"):
+            joint_upper_bound(s, other, l)

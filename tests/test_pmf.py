@@ -122,6 +122,21 @@ class TestValidation:
         assert type(exc.value) is DistributionError
         assert str(exc.value) == f"loss grid {shape} is empty"
 
+    @pytest.mark.parametrize("n", [2, PMF_MODULE.ARRAY_MIN_CELLS // 2], ids=["4-cells", "crossover-cells"])
+    def test_overflowing_loss_range_rejected(self, n):
+        values = np.full((n, 2), 1.7e308)
+        values[1, 1] = -1.7e308
+        with pytest.raises(DistributionError) as exc:
+            LossTable(values)
+        assert type(exc.value) is DistributionError
+        assert str(exc.value) == "loss range 1.7e+308 - -1.7e+308 overflows"
+
+    def test_empty_masses_fail_the_total(self):
+        with pytest.raises(DistributionError, match="^probabilities sum to 0.0, not 1$"):
+            Pmf((), np.zeros(0))
+        with pytest.raises(DistributionError, match="^joint mass sums to 0.0, not 1$"):
+            JointPmf((), (0, 1), np.zeros((0, 2)))
+
 
 # Each case sets (index, value) pairs in the cells [0.5, 0.5, 0, ...] and gives the full
 # message of Pmf, JointPmf and LossTable over them, or None where they are accepted. The

@@ -1,5 +1,6 @@
 """Scenario generator tests: construction, sampling, discretization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,9 +20,10 @@ from jsda import (
     midpoint_classifier,
     sample,
 )
+from jsda.pmf import _fsum
 from jsda.scenarios import (_CHUNK_ROWS, _DOMAIN_CODE, _STREAM_FEATURES, _STREAM_LABELS,
-                            SampleBatch, ScenarioError, _chunks, _grid_centers,
-                            _mixture_cell_mass, bounding_box)
+                            SampleBatch, ScenarioError, _cell_mass, _chunks, _grid_centers,
+                            _mixture_cell_mass, _shared_grid, bounding_box)
 
 
 def random_cov_scenario(rng):
@@ -204,6 +206,12 @@ class TestConstruction:
         with pytest.raises(ScenarioError, match="unknown scenario kind 'cofeatur'"):
             ShiftScenario.from_json_dict({**d, "kind": "cofeatur"})
 
+    def test_scenarios_compare_and_hash_by_identity(self):
+        sc = make_scenario("label-shift")
+        twin = dataclasses.replace(sc)
+        assert sc == sc and sc != twin and hash(sc) == hash(sc) and hash(sc) != hash(twin)
+        assert len({sc, twin, sc}) == 2
+
     def test_json_round_trip(self, tmp_path):
         sc = make_scenario("conditional-shift", rotation_deg=45.0,
                            source_label_marginal=(0.3, 0.7), seed=9)
@@ -357,6 +365,51 @@ class TestDiscretization:
         assert s.x_atoms == tuple(map(tuple, _grid_centers(sc, 8).tolist()))
         assert {type(a) for a in s.x_atoms} == {tuple}
         assert {type(c) for a in s.x_atoms for c in a} == {float}
+
+    def test_domains_share_one_atoms_object(self):
+        for sc in (make_scenario("label-shift", target_label_marginal=(0.8, 0.2)),
+                   make_scenario("conditional-shift"), make_scenario("cofeature"),
+                   make_scenario("open-set", n=3, alpha=0.5)):
+            s, t = discretize(sc, "source", grid=12), discretize(sc, "target", grid=12)
+            assert s.x_atoms is t.x_atoms
+
+    def test_memos_match_a_fresh_grid_bit_for_bit(self):
+        """Alternating grid sizes, scenarios and domains (the memos hold one grid and two
+        masses) gives the atoms and the bits of a grid built from scratch each time."""
+        scenarios = [make_scenario("conditional-shift", rotation_deg=25.0),
+                     make_scenario("label-shift", target_label_marginal=(0.7, 0.3), cov_scale=0.8)]
+        for _ in range(2):
+            for grid in (9, 14, 9):
+                for sc in (*scenarios, make_scenario("conditional-shift", rotation_deg=50.0)):
+                    for domain in ("source", "target", "source"):
+                        centers = _grid_centers(sc, grid)
+                        mass = _mixture_cell_mass(sc, domain, centers)
+                        j = discretize(sc, domain, grid)
+                        assert j.x_atoms == tuple(map(tuple, centers.tolist()))
+                        assert j.mass.tobytes() == (mass / _fsum(mass.ravel())).tobytes()
+
+    def test_memoised_arrays_are_read_only(self):
+        sc = make_scenario("cofeature")
+        discretize(sc, "target", grid=8)
+        for a in (_shared_grid(sc, 8)[0], _cell_mass(sc, "source", 8), _cell_mass(sc, "target", 8)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.5
+
+    def test_cofeature_target_is_target_feature_times_source_conditional(self):
+        sc = make_scenario("cofeature", source_label_marginal=(0.3, 0.7), feature_shift=(0.9, -0.4))
+        s = discretize(sc, "source", grid=20)  # the target then reuses the source's masses
+        centers = _grid_centers(sc, 20)
+        source, target = (_mixture_cell_mass(sc, d, centers) for d in ("source", "target"))
+        mass = target.sum(axis=1)[:, None] * (source / source.sum(axis=1)[:, None])
+        assert discretize(sc, "target", grid=20).mass.tobytes() == (
+            mass / _fsum(mass.ravel())).tobytes()
+        assert s.mass.tobytes() == (source / _fsum(source.ravel())).tobytes()
+
+    @pytest.mark.parametrize("domain", ["both", ["source"]], ids=["str", "list"])
+    def test_unknown_domain_rejected(self, domain):
+        with pytest.raises(ScenarioError, match="^unknown domain"):
+            discretize(make_scenario("label-shift"), domain, grid=4)
 
     def test_grid_lower_bound(self):
         sc = make_scenario("conditional-shift")
