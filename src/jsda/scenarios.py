@@ -86,11 +86,8 @@ def _json_object(raw, known, what: str, required=()) -> dict:
 @dataclass(frozen=True, eq=False)
 class ShiftScenario:
     """Both domains' class means, covariances and label marginals, frozen read-only.
-
-    A scenario compares and hashes by identity, as ``Pmf`` and ``JointPmf`` do: its
-    arrays cannot change, so one object always describes one grid, which lets
-    ``discretize`` build that grid once for both domains.
-    """
+    It compares and hashes by identity, as ``Pmf`` and ``JointPmf`` do, so one object
+    always describes one grid, which ``discretize`` builds once for both domains."""
 
     kind: str
     n_classes: int
@@ -337,10 +334,9 @@ def _mixture_cell_mass(sc: ShiftScenario, domain: Domain,
     return np.stack(cols, axis=1)
 
 
-# The memos below key on the scenario, which hashes by identity and whose arrays are
-# read-only, so an entry cannot go stale (an ``id`` key could, once the id is reused).
-# A discretized pair calls them for one scenario in a row; they hold one grid and two
-# domains' masses, and a raising call is not cached.
+# Keyed on the scenario itself, which hashes by identity and is read-only, so an entry
+# cannot go stale (an ``id`` key could, once the id is reused). A pair is discretized for
+# one scenario in a row, so one grid and two domains' masses suffice.
 
 @lru_cache(maxsize=1)
 def _shared_grid(sc: ShiftScenario, grid: int) -> tuple[np.ndarray, tuple]:
@@ -363,12 +359,11 @@ def discretize(sc: ShiftScenario, domain: Domain, grid: int = 32) -> JointPmf:
 
     Cell mass is the class-mixture density at the cell center times the cell
     area (midpoint rule), renormalized to total one. Both domains share one
-    grid, built once per (scenario, grid): their joints hold the same centres
-    and the same ``x_atoms`` object, so they are directly comparable and the
-    verifiers' support checks pass item by item on identity. For cofeature
-    scenarios the target joint is assembled as T(x) * S(y|x), which keeps the
-    label-given-feature conditionals exactly equal across domains; it reuses
-    the source's cell masses.
+    grid, built once per (scenario, grid): their joints hold one ``x_atoms``
+    object, so they are directly comparable and the verifiers' support checks
+    pass on identity. For cofeature scenarios the target joint is assembled as
+    T(x) * S(y|x) from the source's cell masses, which keeps the
+    label-given-feature conditionals exactly equal across domains.
     """
     _check_integer(grid, "grid", 2)
     _, x_atoms = _shared_grid(sc, grid)
